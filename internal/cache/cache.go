@@ -196,81 +196,6 @@ func (c *Cache) Access(pa uint64) bool {
 	return hit
 }
 
-// AccessHot is Access for accesses hinted cache-resident (mmu.Run.Hot):
-// when the line is already the set's MRU way, the probe — lock, tick
-// bump, age update — is skipped entirely and the access reported as the
-// hit it provably is. The skip cannot change any future decision: every
-// probe writes the set's strictly increasing tick into the way it
-// touches, so the MRU way holds the set's unique maximum age; leaving
-// that age un-bumped preserves the relative age order of every pair of
-// ways, and relative order is all that hit/miss results and LRU victim
-// selection ever read. Cold lines (and shared, non-exclusive caches,
-// where reading the MRU index unlocked would race) fall back to the full
-// probe, so a wrong hint costs nothing but the probe it tried to save.
-func (c *Cache) AccessHot(pa uint64) bool {
-	line := pa >> c.lineShift
-	if c.lastLineLoad() == line+1 {
-		return true
-	}
-	if c.exclusive {
-		set := int(line & c.setMask)
-		if c.tags[set*c.ways+int(c.mru[set])] == line+1 {
-			c.lastLine = line + 1
-			return true
-		}
-	}
-	return c.Access(pa)
-}
-
-// coldSet reports whether set has provably never been probed (and never
-// re-probed since the last InvalidateAll): its LRU tick is still zero.
-// Every probe unconditionally increments the set's tick first, so a zero
-// tick implies every way is invalid and any access must miss. Callers
-// must hold the set exclusively (c.exclusive).
-func (c *Cache) coldSet(set int) bool {
-	return c.ticks[set*tickStride] == 0
-}
-
-// installCold installs line into its provably-empty set in closed form,
-// producing exactly the state a full probe would: the probe would bump
-// the tick to 1, find no tag, pick way 0 as victim (all ages are zero and
-// the scan takes the first smallest), and install with age 1 and MRU 0.
-// Callers must have checked coldSet and hold the set exclusively.
-func (c *Cache) installCold(set int, line uint64) {
-	c.ticks[set*tickStride] = 1
-	c.tags[set*c.ways] = line + 1
-	c.age[set*c.ways] = 1
-	c.mru[set] = 0
-}
-
-// AccessCold is Access for accesses hinted all-miss (mmu.Run.Cold): when
-// the line's set is provably empty — never probed since construction or
-// the last InvalidateAll, i.e. its LRU tick is still zero — the ways-long
-// tag scan is skipped and the line installed in closed form, bit-identical
-// to what the full probe would have left behind (see installCold). The
-// proof is the dual of AccessHot's: a zero tick means no probe ever
-// touched the set, so every way is invalid and the access must miss; a
-// warm set (or a shared, non-exclusive cache, where reading the tick
-// unlocked would race) falls back to the full probe, so a wrong hint
-// costs nothing but the scan it tried to save. The one-entry repeat
-// filter stays in front: a filter hit implies the line was just probed,
-// which implies its set is warm, so the two fast paths never disagree.
-func (c *Cache) AccessCold(pa uint64) bool {
-	line := pa >> c.lineShift
-	if c.lastLineLoad() == line+1 {
-		return true
-	}
-	if c.exclusive {
-		set := int(line & c.setMask)
-		if c.coldSet(set) {
-			c.installCold(set, line)
-			c.lastLine = line + 1
-			return false
-		}
-	}
-	return c.Access(pa)
-}
-
 // AccessRange touches every line in [pa, pa+n) and returns the number of
 // hits and misses. It is the bulk-transfer entry point used by streaming
 // copies; consecutive lines map to consecutive sets, so each iteration
@@ -302,62 +227,6 @@ func (c *Cache) AccessRange(pa uint64, n int) (hits, misses int) {
 	}
 	c.lastLineStore(last + 1)
 	return hits, misses
-}
-
-// AccessRangeCold is AccessRange for transfers hinted all-miss: each
-// line whose set is provably empty (zero LRU tick — cold since
-// construction or the last InvalidateAll) installs in closed form
-// without the tag scan; warm sets take the ordinary probe. Hit/miss
-// counts and the final tag/age/MRU/tick state are bit-identical to
-// AccessRange — the repeat filter applies to the opening line only and
-// the filter word ends at last+1, exactly as there. Shared (non-
-// exclusive) caches delegate wholesale, since the cold check reads
-// per-set state unlocked.
-func (c *Cache) AccessRangeCold(pa uint64, n int) (hits, misses int) {
-	if !c.exclusive {
-		return c.AccessRange(pa, n)
-	}
-	if n <= 0 {
-		return 0, 0
-	}
-	first := pa >> c.lineShift
-	last := (pa + uint64(n) - 1) >> c.lineShift
-	line := first
-	if c.lastLine == first+1 {
-		hits++
-		line++
-	}
-	for ; line <= last; line++ {
-		set := int(line & c.setMask)
-		if c.coldSet(set) {
-			c.installCold(set, line)
-			misses++
-			continue
-		}
-		if c.probe(line) {
-			hits++
-		} else {
-			misses++
-		}
-	}
-	c.lastLine = last + 1
-	return hits, misses
-}
-
-// InvalidateAll empties the cache.
-func (c *Cache) InvalidateAll() {
-	for set := 0; set < c.sets; set++ {
-		c.lockSet(set)
-		base := set * c.ways
-		for i := base; i < base+c.ways; i++ {
-			c.tags[i] = 0
-			c.age[i] = 0
-		}
-		c.ticks[set*tickStride] = 0
-		c.mru[set] = 0
-		c.unlockSet(set)
-	}
-	c.lastLineStore(0)
 }
 
 // Sets and Ways expose the geometry for tests.

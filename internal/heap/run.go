@@ -52,12 +52,12 @@ func (h *Heap) WritePayloadWords(ctx *machine.Context, o Object, numRefs, off in
 // latency-charged ReadPayloadWords above: pick the accessor that matches
 // what the call site charged before conversion.
 func (h *Heap) ReadPayloadStream(ctx *machine.Context, o Object, numRefs, off int, dst []uint64) error {
-	return h.AS.ReadWords(&ctx.Env, o.PayloadVA(numRefs)+uint64(off), dst, false)
+	return h.AS.ReadWords(&ctx.Env, o.PayloadVA(numRefs)+uint64(off), dst)
 }
 
 // WritePayloadStream writes src as one charged sequential stream —
 // charge-identical to WritePayload of the same bytes. Payload words carry
 // no references, so no write barrier applies.
 func (h *Heap) WritePayloadStream(ctx *machine.Context, o Object, numRefs, off int, src []uint64) error {
-	return h.AS.WriteWords(&ctx.Env, o.PayloadVA(numRefs)+uint64(off), src, false)
+	return h.AS.WriteWords(&ctx.Env, o.PayloadVA(numRefs)+uint64(off), src)
 }

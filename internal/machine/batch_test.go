@@ -105,7 +105,7 @@ func TestContextChargeRunParity(t *testing.T) {
 		{VA: mmu.MmapBase, Words: 900, Write: true},
 		{VA: mmu.MmapBase + 128, Words: 900},
 		{VA: mmu.MmapBase + 16, Stride: 72, Words: 333},
-		{VA: mmu.MmapBase + 16, Stride: 72, Words: 333, Hot: true}, // hot re-scan (MRU skip on the SingleDriver LLC)
+		{VA: mmu.MmapBase + 16, Stride: 72, Words: 333}, // re-scan of warm lines (MRU short-circuit on the SingleDriver LLC)
 		{VA: mmu.MmapBase + 4096, Words: 1, Write: true},
 	}
 	for _, r := range runs {

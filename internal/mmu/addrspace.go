@@ -444,43 +444,6 @@ func (as *AddressSpace) WriteWord(env *Env, va uint64, val uint64) error {
 	return nil
 }
 
-// Read copies len(p) bytes from va into p as a charged sequential stream.
-func (as *AddressSpace) Read(env *Env, va uint64, p []byte) error {
-	env.Perf.BytesRead += uint64(len(p))
-	return as.bulk(env, va, p, false, false)
-}
-
-// Write copies p to va as a charged sequential stream.
-func (as *AddressSpace) Write(env *Env, va uint64, p []byte) error {
-	env.Perf.BytesWrite += uint64(len(p))
-	return as.bulk(env, va, p, true, false)
-}
-
-func (as *AddressSpace) bulk(env *Env, va uint64, p []byte, write, cold bool) error {
-	for len(p) > 0 {
-		f, err := as.translatePage(env, va)
-		if err != nil {
-			return err
-		}
-		off := int(va & mem.PageMask)
-		n := mem.PageSize - off
-		if n > len(p) {
-			n = len(p)
-		}
-		pa := uint64(f)<<mem.PageShift | uint64(off)
-		env.chargeBulkAccessHint(pa, n, write, cold)
-		frame := as.Phys.Frame(f)
-		if write {
-			copy(frame[off:off+n], p[:n])
-		} else {
-			copy(p[:n], frame[off:off+n])
-		}
-		va += uint64(n)
-		p = p[n:]
-	}
-	return nil
-}
-
 // Copy performs a charged memmove of n bytes from src to dst within the
 // address space, handling overlap like memmove. It charges a streaming
 // read of the source plus a streaming write of the destination (declared
@@ -492,10 +455,10 @@ func (as *AddressSpace) Copy(env *Env, dst, src uint64, n int) error {
 	if n <= 0 {
 		return nil
 	}
-	if err := as.ChargeStream(env, src, n, false, false); err != nil {
+	if err := as.stream(env, src, n, false, nil, nil); err != nil {
 		return err
 	}
-	if err := as.ChargeStream(env, dst, n, true, false); err != nil {
+	if err := as.stream(env, dst, n, true, nil, nil); err != nil {
 		return err
 	}
 	if as.swapper != nil {
@@ -506,24 +469,6 @@ func (as *AddressSpace) Copy(env *Env, dst, src uint64, n int) error {
 		return as.RawWrite(dst, tmp)
 	}
 	return as.moveBytes(dst, src, n)
-}
-
-func (as *AddressSpace) chargeRange(env *Env, va uint64, n int, write, cold bool) error {
-	for n > 0 {
-		f, err := as.translatePage(env, va)
-		if err != nil {
-			return err
-		}
-		off := int(va & mem.PageMask)
-		seg := mem.PageSize - off
-		if seg > n {
-			seg = n
-		}
-		env.chargeBulkAccessHint(uint64(f)<<mem.PageShift|uint64(off), seg, write, cold)
-		va += uint64(seg)
-		n -= seg
-	}
-	return nil
 }
 
 // RawRead copies bytes out of the address space without charging any

@@ -1,6 +1,8 @@
 package mmu
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"time"
@@ -42,8 +44,8 @@ func runOps() []runOp {
 		{run: Run{VA: MmapBase + 64, Words: 700}},              // re-read: mixed hits
 		{run: Run{VA: MmapBase, Stride: 64, Words: 200}},       // line-strided, 4 pages
 		{run: Run{VA: MmapBase + 8, Stride: 136, Words: 77, Write: true}},
-		{run: Run{VA: MmapBase, Stride: 64, Words: 200, Hot: true}}, // hot re-scan of warm lines
-		{run: Run{VA: MmapBase + 16, Stride: 72, Words: 150, Hot: true, Write: true}},
+		{run: Run{VA: MmapBase, Stride: 64, Words: 200}}, // re-scan of warm lines
+		{run: Run{VA: MmapBase + 16, Stride: 72, Words: 150, Write: true}},
 		{run: Run{VA: MmapBase + 2*64, Words: 1}},
 		{run: Run{VA: MmapBase, Words: 0}},
 		{run: Run{VA: MmapBase, Words: 6000, Write: true}, data: true}, // wraps the LLC
@@ -88,31 +90,14 @@ func normalizePathCounters(p *sim.Perf) {
 	p.RunFallbacks = 0
 }
 
-// TestRunBatchedMatchesExact is the core parity property: the same run
-// sequence over identically-mapped spaces leaves a batched env and an
-// exact env with the identical clock, counters, observed data and
-// subsequent cache behaviour.
-func TestRunBatchedMatchesExact(t *testing.T) {
-	asB, envB := runFixture(t, true)
-	asE, envE := runFixture(t, false)
-
-	obsB := applyOps(t, asB, envB, runOps())
-	obsE := applyOps(t, asE, envE, runOps())
-
+// requireParity asserts that a batched fixture and an exact fixture are
+// indistinguishable: the identical clock and counters (bar the fallback
+// count), and a fresh per-word probe sequence that sees the same cache
+// hits and TLB misses on both.
+func requireParity(t *testing.T, asB *AddressSpace, envB *Env, asE *AddressSpace, envE *Env) {
+	t.Helper()
 	if got, want := envB.Clock.Now(), envE.Clock.Now(); got != want {
 		t.Errorf("clock diverges: batched %v, exact %v (delta %g)", got, want, float64(got-want))
-	}
-	if len(obsB) != len(obsE) {
-		t.Fatalf("observed %d words batched, %d exact", len(obsB), len(obsE))
-	}
-	for i := range obsB {
-		if obsB[i] != obsE[i] {
-			t.Fatalf("data diverges at word %d: %#x vs %#x", i, obsB[i], obsE[i])
-		}
-	}
-	if envE.Perf.RunFallbacks == 0 || envB.Perf.RunFallbacks != 0 {
-		t.Errorf("fallback counting wrong: exact %d (want >0), batched %d (want 0)",
-			envE.Perf.RunFallbacks, envB.Perf.RunFallbacks)
 	}
 	pB, pE := *envB.Perf, *envE.Perf
 	normalizePathCounters(&pB)
@@ -120,9 +105,6 @@ func TestRunBatchedMatchesExact(t *testing.T) {
 	if pB != pE {
 		t.Errorf("perf diverges:\nbatched: %+v\nexact:   %+v", pB, pE)
 	}
-
-	// The cache and TLB must have evolved identically too: a fresh
-	// per-word probe sequence must see the same hits on both fixtures.
 	for i := 0; i < 512; i++ {
 		va := MmapBase + uint64(i*104)&^7
 		paB, err := asB.Translate(envB, va)
@@ -144,187 +126,173 @@ func TestRunBatchedMatchesExact(t *testing.T) {
 	}
 }
 
-// TestHotRunBatchedMatchesExactExclusive pins the Hot fast path: on an
-// exclusive (single-driver) cache the MRU probe skip actually engages,
-// and the batched hot settlement must still leave the identical clock,
-// counters and future cache behaviour as the exact per-word path, which
-// ignores the hint entirely. Includes a wrong hint (hot run over evicted
-// lines), which must only cost the probes it tried to save.
-func TestHotRunBatchedMatchesExactExclusive(t *testing.T) {
-	asB, envB := runFixture(t, true)
-	asE, envE := runFixture(t, false)
-	envB.Cache.SetExclusive(true)
-	envE.Cache.SetExclusive(true)
-	ops := []runOp{
-		{run: Run{VA: MmapBase, Stride: 64, Words: 256, Write: true}}, // warm the lines
-		{run: Run{VA: MmapBase, Stride: 64, Words: 256, Hot: true}},   // all-MRU re-scan
-		{run: Run{VA: MmapBase + 8, Stride: 136, Words: 90, Hot: true}},
-		{run: Run{VA: MmapBase, Words: 6000, Write: true}},          // wrap and evict
-		{run: Run{VA: MmapBase, Stride: 64, Words: 256, Hot: true}}, // wrong hint: cold
-		{run: Run{VA: MmapBase, Stride: 64, Words: 256}},
-	}
-	applyOps(t, asB, envB, ops)
-	applyOps(t, asE, envE, ops)
-	if got, want := envB.Clock.Now(), envE.Clock.Now(); got != want {
-		t.Errorf("clock diverges: batched-hot %v, exact %v (delta %g)", got, want, float64(got-want))
-	}
-	pB, pE := *envB.Perf, *envE.Perf
-	normalizePathCounters(&pB)
-	normalizePathCounters(&pE)
-	if pB != pE {
-		t.Errorf("perf diverges:\nbatched-hot: %+v\nexact:       %+v", pB, pE)
-	}
-	// Identical subsequent behaviour: a fresh probe sequence must see the
-	// same hits on both fixtures even though the hot path skipped probes.
-	for i := 0; i < 512; i++ {
-		va := MmapBase + uint64(i*104)&^7
-		paB, err := asB.Translate(envB, va)
-		if err != nil {
-			t.Fatal(err)
-		}
-		paE, err := asE.Translate(envE, va)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hb, he := envB.Cache.Access(paB), envE.Cache.Access(paE); hb != he {
-			t.Fatalf("cache state diverges at probe %d (va %#x): batched-hot hit=%v, exact hit=%v",
-				i, va, hb, he)
-		}
-	}
-}
-
-// TestColdRunBatchedMatchesExactExclusive pins the Cold fast path, the
-// all-miss dual of the hot test above: on an exclusive cache the
-// closed-form install actually engages for provably-empty sets, and the
-// batched cold settlement must leave the identical clock, counters and
-// future cache behaviour as the exact per-word path, which ignores the
-// hint. Includes wrong hints (cold runs over warmed sets) and an
-// InvalidateAll that re-arms the cold proof mid-sequence.
-func TestColdRunBatchedMatchesExactExclusive(t *testing.T) {
-	asB, envB := runFixture(t, true)
-	asE, envE := runFixture(t, false)
-	envB.Cache.SetExclusive(true)
-	envE.Cache.SetExclusive(true)
-	ops := []runOp{
-		{run: Run{VA: MmapBase, Words: 700, Write: true, Cold: true}, data: true}, // dense first touch, wraps the 64 sets
-		{run: Run{VA: MmapBase + 8192, Stride: 128, Words: 40, Cold: true}},       // strided, mixed cold/warm sets
-		{run: Run{VA: MmapBase, Words: 700, Cold: true}},                          // wrong hint: everything warm
-		{run: Run{VA: MmapBase, Words: 6000, Write: true}},                        // unhinted wrap-and-evict
-		{run: Run{VA: MmapBase + 16384, Words: 512, Cold: true}, data: true},      // wrong hint after the wrap
-	}
-	applyOps(t, asB, envB, ops)
-	applyOps(t, asE, envE, ops)
-	// Re-arm the proof: after InvalidateAll every set's tick is zero
-	// again, so the next cold runs take the closed-form install.
-	envB.Cache.InvalidateAll()
-	envE.Cache.InvalidateAll()
-	applyOps(t, asB, envB, []runOp{
-		{run: Run{VA: MmapBase, Stride: 192, Words: 60, Cold: true}},
-		{run: Run{VA: MmapBase + 64, Words: 900, Cold: true, Write: true}, data: true},
-	})
-	applyOps(t, asE, envE, []runOp{
-		{run: Run{VA: MmapBase, Stride: 192, Words: 60, Cold: true}},
-		{run: Run{VA: MmapBase + 64, Words: 900, Cold: true, Write: true}, data: true},
-	})
-	if got, want := envB.Clock.Now(), envE.Clock.Now(); got != want {
-		t.Errorf("clock diverges: batched-cold %v, exact %v (delta %g)", got, want, float64(got-want))
-	}
-	pB, pE := *envB.Perf, *envE.Perf
-	normalizePathCounters(&pB)
-	normalizePathCounters(&pE)
-	if pB != pE {
-		t.Errorf("perf diverges:\nbatched-cold: %+v\nexact:        %+v", pB, pE)
-	}
-	for i := 0; i < 512; i++ {
-		va := MmapBase + uint64(i*104)&^7
-		paB, err := asB.Translate(envB, va)
-		if err != nil {
-			t.Fatal(err)
-		}
-		paE, err := asE.Translate(envE, va)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hb, he := envB.Cache.Access(paB), envE.Cache.Access(paE); hb != he {
-			t.Fatalf("cache state diverges at probe %d (va %#x): batched-cold hit=%v, exact hit=%v",
-				i, va, hb, he)
-		}
-	}
-}
-
-// TestRunHintRandomizedParity is the randomized property the ISSUE asks
-// for: arbitrary stride/length/hint combinations — dense and strided,
-// Hot, Cold and unhinted, charge-only and data-moving, on exclusive and
-// shared caches — settled batched and exact must agree on the clock,
-// every counter and all future cache behaviour. The seed is logged so a
-// failure reproduces.
-func TestRunHintRandomizedParity(t *testing.T) {
-	seed := time.Now().UnixNano()
-	rng := rand.New(rand.NewSource(seed))
-	const span = 16 * 4096 // the fixture's mapped bytes
-	for trial := 0; trial < 6; trial++ {
-		exclusive := trial%2 == 0
+// TestRunBatchedMatchesExact is the core parity property: the same run
+// sequence over identically-mapped spaces leaves a batched env and an
+// exact env with the identical clock, counters, observed data and
+// subsequent cache behaviour, on a shared and on an exclusive
+// (lock-elided) cache.
+func TestRunBatchedMatchesExact(t *testing.T) {
+	for _, exclusive := range []bool{false, true} {
 		asB, envB := runFixture(t, true)
 		asE, envE := runFixture(t, false)
 		envB.Cache.SetExclusive(exclusive)
 		envE.Cache.SetExclusive(exclusive)
-		var ops []runOp
-		for i := 0; i < 50; i++ {
-			r := Run{VA: MmapBase + uint64(rng.Intn(span/2))&^7}
-			if rng.Intn(2) == 1 {
-				r.Stride = 8 * (1 + rng.Intn(32))
-			}
-			step := r.Stride
-			if step == 0 {
-				step = 8
-			}
-			if max := (span - int(r.VA-MmapBase)) / step; max > 0 {
-				r.Words = rng.Intn(max + 1)
-			}
-			switch rng.Intn(4) {
-			case 0:
-				r.Hot = true
-			case 1:
-				r.Cold = true
-			}
-			r.Write = rng.Intn(2) == 0
-			// ReadRun/WriteRun are dense-only; data ops keep stride 0.
-			ops = append(ops, runOp{run: r, data: r.Stride == 0 && rng.Intn(3) == 0})
-		}
-		obsB := applyOps(t, asB, envB, ops)
-		obsE := applyOps(t, asE, envE, ops)
-		if got, want := envB.Clock.Now(), envE.Clock.Now(); got != want {
-			t.Errorf("seed=%d trial %d (exclusive=%v): clock diverges: batched %v, exact %v",
-				seed, trial, exclusive, got, want)
+
+		obsB := applyOps(t, asB, envB, runOps())
+		obsE := applyOps(t, asE, envE, runOps())
+
+		if len(obsB) != len(obsE) {
+			t.Fatalf("exclusive=%v: observed %d words batched, %d exact", exclusive, len(obsB), len(obsE))
 		}
 		for i := range obsB {
 			if obsB[i] != obsE[i] {
-				t.Fatalf("seed=%d trial %d: data diverges at word %d", seed, trial, i)
+				t.Fatalf("exclusive=%v: data diverges at word %d: %#x vs %#x", exclusive, i, obsB[i], obsE[i])
 			}
 		}
-		pB, pE := *envB.Perf, *envE.Perf
-		normalizePathCounters(&pB)
-		normalizePathCounters(&pE)
-		if pB != pE {
-			t.Errorf("seed=%d trial %d (exclusive=%v): perf diverges:\nbatched: %+v\nexact:   %+v",
-				seed, trial, exclusive, pB, pE)
+		if envE.Perf.RunFallbacks == 0 || envB.Perf.RunFallbacks != 0 {
+			t.Errorf("exclusive=%v: fallback counting wrong: exact %d (want >0), batched %d (want 0)",
+				exclusive, envE.Perf.RunFallbacks, envB.Perf.RunFallbacks)
 		}
-		for i := 0; i < 256; i++ {
-			va := MmapBase + uint64(i*232)&^7
-			paB, err := asB.Translate(envB, va)
-			if err != nil {
-				t.Fatal(err)
+		requireParity(t, asB, envB, asE, envE)
+	}
+}
+
+// The entry points FuzzRunParity drives, indexed by its entry argument.
+const (
+	entryChargeRun = iota
+	entryReadRun
+	entryWriteRun
+	entryChargeStream
+	entryReadWords
+	entryWriteWords
+	entryRead
+	entryWrite
+	numEntries
+)
+
+// fuzzTransfer performs one transfer through the given entry point and
+// returns what it read (nil for writes and charge-only entries). Written
+// data depends only on the arguments, so two fixtures given the same
+// call store the same bytes.
+func fuzzTransfer(as *AddressSpace, env *Env, entry int, va uint64, stride, words int, write bool) ([]byte, error) {
+	ws := make([]uint64, words)
+	bs := make([]byte, 8*words)
+	for i := range ws {
+		ws[i] = uint64(i)*0x9e3779b97f4a7c15 ^ va
+		binary.LittleEndian.PutUint64(bs[8*i:], ws[i])
+	}
+	var err error
+	switch entry {
+	case entryChargeRun:
+		return nil, as.ChargeRun(env, Run{VA: va, Stride: stride, Words: words, Write: write})
+	case entryReadRun:
+		err = as.ReadRun(env, va, ws)
+	case entryWriteRun:
+		return nil, as.WriteRun(env, va, ws)
+	case entryChargeStream:
+		return nil, as.ChargeStream(env, va, 8*words, write, false)
+	case entryReadWords:
+		err = as.ReadWords(env, va, ws)
+	case entryWriteWords:
+		return nil, as.WriteWords(env, va, ws)
+	case entryRead:
+		return bs, as.Read(env, va, bs)
+	case entryWrite:
+		return nil, as.Write(env, va, bs)
+	}
+	for i, w := range ws {
+		binary.LittleEndian.PutUint64(bs[8*i:], w)
+	}
+	return bs, err
+}
+
+// FuzzRunParity: any single transfer — through any run or stream entry,
+// dense or strided, read or write, on a shared or exclusive cache —
+// leaves a batched fixture and an exact fixture with the same data, clock,
+// counters and future cache behaviour. The transfer is applied twice, so
+// the second pass settles against lines the first one installed. The
+// seed corpus is the runOps table (each op under its own entry, on both
+// cache kinds) plus every stream entry over a page-crossing range, so a
+// plain go test run is deterministic; -fuzz explores beyond it.
+func FuzzRunParity(f *testing.F) {
+	for _, op := range runOps() {
+		entry := entryChargeRun
+		if op.data {
+			entry = entryReadRun
+			if op.run.Write {
+				entry = entryWriteRun
 			}
-			paE, err := asE.Translate(envE, va)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if hb, he := envB.Cache.Access(paB), envE.Cache.Access(paE); hb != he {
-				t.Fatalf("seed=%d trial %d: cache state diverges at probe %d (va %#x)",
-					seed, trial, i, va)
-			}
+		}
+		for _, exclusive := range []bool{false, true} {
+			f.Add(uint32(op.run.VA-MmapBase), uint16(op.run.Stride), uint16(op.run.Words),
+				op.run.Write, exclusive, uint8(entry))
 		}
 	}
+	for e := entryChargeStream; e < numEntries; e++ {
+		f.Add(uint32(100), uint16(0), uint16(700), e == entryChargeStream, e%2 == 0, uint8(e))
+	}
+	f.Fuzz(func(t *testing.T, off uint32, stride, words uint16, write, exclusive bool, entry uint8) {
+		const span = 16 * mem.PageSize // the fixture's mapped bytes
+		e := int(entry) % numEntries
+		o := int(off % span)
+		step := 8
+		switch e {
+		case entryChargeStream, entryRead, entryWrite:
+			// Byte-granular: any offset, a byte count of 8*words.
+		case entryChargeRun:
+			o &^= 7
+			if s := int(stride) % 1024 &^ 7; s != 0 {
+				step = s
+			}
+		default:
+			o &^= 7
+		}
+		// The largest word count that stays inside the mapping.
+		limit := (span - o) / 8
+		if e == entryChargeRun {
+			limit = (span-o-8)/step + 1
+		}
+		n := int(words) % (limit + 1)
+
+		asB, envB := runFixture(t, true)
+		asE, envE := runFixture(t, false)
+		envB.Cache.SetExclusive(exclusive)
+		envE.Cache.SetExclusive(exclusive)
+		image := make([]byte, span)
+		for i := range image {
+			image[i] = byte(i*7 + i>>8)
+		}
+		for _, as := range []*AddressSpace{asB, asE} {
+			if err := as.RawWrite(MmapBase, image); err != nil {
+				t.Fatal(err)
+			}
+		}
+		va := MmapBase + uint64(o)
+		for pass := 0; pass < 2; pass++ {
+			gotB, err := fuzzTransfer(asB, envB, e, va, step, n, write)
+			if err != nil {
+				t.Fatalf("batched entry %d: %v", e, err)
+			}
+			gotE, err := fuzzTransfer(asE, envE, e, va, step, n, write)
+			if err != nil {
+				t.Fatalf("exact entry %d: %v", e, err)
+			}
+			if !bytes.Equal(gotB, gotE) {
+				t.Fatalf("entry %d pass %d: read data diverges", e, pass)
+			}
+		}
+		memB, memE := make([]byte, span), make([]byte, span)
+		if err := asB.RawRead(MmapBase, memB); err != nil {
+			t.Fatal(err)
+		}
+		if err := asE.RawRead(MmapBase, memE); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(memB, memE) {
+			t.Fatalf("entry %d: memory diverges", e)
+		}
+		requireParity(t, asB, envB, asE, envE)
+	})
 }
 
 // TestRunSplitPointsProperty: settling one long run in arbitrary
@@ -486,9 +454,6 @@ func BenchmarkChargeRun(b *testing.B) {
 	})
 	b.Run("strided", func(b *testing.B) {
 		bench(b, Run{VA: MmapBase, Stride: 64, Words: 512})
-	})
-	b.Run("hot", func(b *testing.B) {
-		bench(b, Run{VA: MmapBase, Stride: 64, Words: 512, Hot: true})
 	})
 }
 

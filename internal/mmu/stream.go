@@ -7,119 +7,104 @@ import (
 	"repro/internal/mem"
 )
 
-// This file holds the declared-stream entries: bulk (bandwidth-charged)
-// sequential transfers a caller announces up front, the stream duals of
-// the word-run API in run.go. A declared stream charges exactly what the
-// equivalent Read/Write of the same bytes would — same page segmentation,
-// same per-segment chargeBulkAccess — so converting a call site is always
-// bit-exact. What the caller buys is (a) no intermediate byte buffer for
-// word-typed data (ReadWords/WriteWords move words straight between the
-// caller's slice and the backing frames), (b) a charge-only entry
-// (ChargeStream) for movement the host performs elsewhere, and (c) an
-// advisory cold hint: segments expected to miss every line probe the LLC
-// through cache.AccessRangeCold, which installs lines in closed form for
-// sets the model can prove empty. The hint is honoured only under batched
-// settlement (Env.Batch) and never changes results, only host work.
+// This file holds the bulk (bandwidth-charged) sequential transfers, the
+// stream duals of the word-run API in run.go. Every entry — the byte
+// transfers Read/Write, the word transfers ReadWords/WriteWords (no
+// intermediate byte buffer), the charge-only ChargeStream, and Copy's two
+// charges — runs through one page-segment walk, stream, so they all
+// charge alike by construction: the same bytes cost the same whichever
+// entry moved them. Streams need no batched/exact split; the per-segment
+// chargeBulkAccess is already closed form.
 
-// streamPerf counts one declared stream of n bytes.
-func streamPerf(env *Env, n int) {
-	env.Perf.StreamRuns++
-	env.Perf.StreamBytes += uint64(n)
+// Read copies len(p) bytes from va into p as a charged sequential stream.
+func (as *AddressSpace) Read(env *Env, va uint64, p []byte) error {
+	return as.stream(env, va, len(p), false, p, nil)
 }
 
-// ReadStream is Read with stream accounting and an advisory cold hint.
-func (as *AddressSpace) ReadStream(env *Env, va uint64, p []byte, cold bool) error {
-	streamPerf(env, len(p))
-	env.Perf.BytesRead += uint64(len(p))
-	return as.bulk(env, va, p, false, cold)
-}
-
-// WriteStream is Write with stream accounting and an advisory cold hint.
-func (as *AddressSpace) WriteStream(env *Env, va uint64, p []byte, cold bool) error {
-	streamPerf(env, len(p))
-	env.Perf.BytesWrite += uint64(len(p))
-	return as.bulk(env, va, p, true, cold)
+// Write copies p to va as a charged sequential stream.
+func (as *AddressSpace) Write(env *Env, va uint64, p []byte) error {
+	return as.stream(env, va, len(p), true, p, nil)
 }
 
 // ReadWords performs a charged sequential read of 8*len(dst) bytes at va,
 // decoding straight into dst — charge-identical to Read of the same range
 // with no intermediate byte buffer. va must be 8-byte aligned.
-func (as *AddressSpace) ReadWords(env *Env, va uint64, dst []uint64, cold bool) error {
+func (as *AddressSpace) ReadWords(env *Env, va uint64, dst []uint64) error {
 	if va%8 != 0 {
 		return fmt.Errorf("mmu: ReadWords: va %#x not 8-aligned", va)
 	}
-	streamPerf(env, 8*len(dst))
-	env.Perf.BytesRead += 8 * uint64(len(dst))
-	for len(dst) > 0 {
-		f, err := as.translatePage(env, va)
-		if err != nil {
-			return err
-		}
-		off := int(va & mem.PageMask)
-		k := (mem.PageSize - off) / 8
-		if k > len(dst) {
-			k = len(dst)
-		}
-		pa := uint64(f)<<mem.PageShift | uint64(off)
-		env.chargeBulkAccessHint(pa, 8*k, false, cold)
-		frame := as.Phys.Frame(f)
-		for i := 0; i < k; i++ {
-			o := off + 8*i
-			dst[i] = binary.LittleEndian.Uint64(frame[o : o+8])
-		}
-		va += uint64(8 * k)
-		dst = dst[k:]
-	}
-	return nil
+	return as.stream(env, va, 8*len(dst), false, nil, dst)
 }
 
 // WriteWords performs a charged sequential write of 8*len(src) bytes at
 // va, encoding straight from src — charge-identical to Write of the same
 // range with no intermediate byte buffer. va must be 8-byte aligned.
-func (as *AddressSpace) WriteWords(env *Env, va uint64, src []uint64, cold bool) error {
+func (as *AddressSpace) WriteWords(env *Env, va uint64, src []uint64) error {
 	if va%8 != 0 {
 		return fmt.Errorf("mmu: WriteWords: va %#x not 8-aligned", va)
 	}
-	streamPerf(env, 8*len(src))
-	env.Perf.BytesWrite += 8 * uint64(len(src))
-	for len(src) > 0 {
-		f, err := as.translatePage(env, va)
-		if err != nil {
-			return err
-		}
-		off := int(va & mem.PageMask)
-		k := (mem.PageSize - off) / 8
-		if k > len(src) {
-			k = len(src)
-		}
-		pa := uint64(f)<<mem.PageShift | uint64(off)
-		env.chargeBulkAccessHint(pa, 8*k, true, cold)
-		frame := as.Phys.Frame(f)
-		for i := 0; i < k; i++ {
-			o := off + 8*i
-			binary.LittleEndian.PutUint64(frame[o:o+8], src[i])
-		}
-		va += uint64(8 * k)
-		src = src[k:]
-	}
-	return nil
+	return as.stream(env, va, 8*len(src), true, nil, src)
 }
 
 // ChargeStream charges a sequential n-byte stream at va without moving
 // any data — the bulk-transfer analogue of ChargeRun, for movement the
-// host performs through other plumbing (Copy's frame-to-frame move, the
-// compression kernels' host-side transforms).
-func (as *AddressSpace) ChargeStream(env *Env, va uint64, n int, write, cold bool) error {
+// host performs elsewhere. The final argument is ignored; it is kept so
+// existing callers compile unchanged.
+func (as *AddressSpace) ChargeStream(env *Env, va uint64, n int, write, _ bool) error {
+	return as.stream(env, va, n, write, nil, nil)
+}
+
+// stream is the page-segment walk behind every bulk transfer: it charges
+// an n-byte sequential stream at va one page segment at a time (the
+// page's translation, then chargeBulkAccess of the segment) and moves the
+// segment's bytes to or from p, or its words to or from words (n is then
+// 8*len(words) and va 8-aligned, so no word straddles a page); with both
+// nil it only charges. A zero-length transfer charges and counts nothing.
+func (as *AddressSpace) stream(env *Env, va uint64, n int, write bool, p []byte, words []uint64) error {
 	if n <= 0 {
 		return nil
 	}
-	streamPerf(env, n)
+	env.Perf.StreamRuns++
+	env.Perf.StreamBytes += uint64(n)
 	if write {
 		env.Perf.BytesWrite += uint64(n)
 	} else {
 		env.Perf.BytesRead += uint64(n)
 	}
-	return as.chargeRange(env, va, n, write, cold)
+	for n > 0 {
+		f, err := as.translatePage(env, va)
+		if err != nil {
+			return err
+		}
+		off := int(va & mem.PageMask)
+		seg := min(mem.PageSize-off, n)
+		env.chargeBulkAccess(uint64(f)<<mem.PageShift|uint64(off), seg, write)
+		frame := as.Phys.Frame(f)[off : off+seg]
+		switch {
+		case p != nil:
+			if write {
+				copy(frame, p)
+			} else {
+				copy(p, frame)
+			}
+			p = p[seg:]
+		case words != nil:
+			k := seg / 8
+			if write {
+				for i, w := range words[:k] {
+					binary.LittleEndian.PutUint64(frame[8*i:], w)
+				}
+			} else {
+				for i := range words[:k] {
+					words[i] = binary.LittleEndian.Uint64(frame[8*i:])
+				}
+			}
+			words = words[k:]
+		}
+		va += uint64(seg)
+		n -= seg
+	}
+	return nil
 }
 
 // moveBytes moves n bytes from src to dst frame-to-frame with memmove

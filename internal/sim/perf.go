@@ -28,8 +28,8 @@ type Perf struct {
 	ChargeRuns   uint64 // runs declared via ChargeRun/ReadRun/WriteRun
 	RunWords     uint64 // words covered by declared runs
 	RunFallbacks uint64 // runs settled via the exact per-word path
-	StreamRuns   uint64 // bulk streams declared via ReadWords/WriteWords/ChargeStream
-	StreamBytes  uint64 // bytes covered by declared streams
+	StreamRuns   uint64 // bulk transfers (Read/Write/ReadWords/WriteWords/ChargeStream/Copy)
+	StreamBytes  uint64 // bytes covered by bulk transfers
 
 	// TLB coherence.
 	TLBFlushLocal uint64 // whole-ASID local flushes
