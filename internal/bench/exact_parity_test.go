@@ -5,21 +5,30 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/topology"
 )
 
 // paritySpecs covers every quick-sweep workload family, several
-// collectors, plus a multi-JVM run (bus contention) — the surface the
-// figures are drawn from.
-var paritySpecs = []runSpec{
-	{"svagc", "Sparse.large/4", 1.2, 1},
-	{"svagc", "Sigverify", 1.2, 1},
-	{"svagc", "CryptoAES", 1.5, 1},
-	{"svagc", "Bisort", 1.2, 1},
-	{"svagc", "LRUCache", 1.2, 1},
-	{"svagc-memmove", "Sparse.large/4", 1.2, 1},
-	{"parallelgc", "Bisort", 1.2, 1},
-	{"copygc", "CryptoAES", 1.5, 1},
-	{"svagc", "CryptoAES", 1.5, 4}, // co-running JVMs
+// collectors, a multi-JVM run (bus contention) — the surface the
+// figures are drawn from — and an interleaved 2-socket run under every
+// fault site, where interconnect brownout rolls on remote pages (under
+// first-touch a single JVM's pages all stay local). Each spec runs
+// under its opt plus Quick.
+var paritySpecs = []struct {
+	runSpec
+	opt Options
+}{
+	{runSpec{"svagc", "Sparse.large/4", 1.2, 1}, Options{}},
+	{runSpec{"svagc", "Sigverify", 1.2, 1}, Options{}},
+	{runSpec{"svagc", "CryptoAES", 1.5, 1}, Options{}},
+	{runSpec{"svagc", "Bisort", 1.2, 1}, Options{}},
+	{runSpec{"svagc", "LRUCache", 1.2, 1}, Options{}},
+	{runSpec{"svagc-memmove", "Sparse.large/4", 1.2, 1}, Options{}},
+	{runSpec{"parallelgc", "Bisort", 1.2, 1}, Options{}},
+	{runSpec{"copygc", "CryptoAES", 1.5, 1}, Options{}},
+	{runSpec{"svagc", "CryptoAES", 1.5, 4}, Options{}}, // co-running JVMs
+	{runSpec{"svagc", "Sigverify", 1.2, 1}, Options{Sockets: 2, NUMAPolicy: topology.PolicyInterleave,
+		FaultPlan: "all=0.4", FaultSeed: 7}},
 }
 
 // TestBatchedExactParity is the tentpole's contract, stated as a test:
@@ -33,17 +42,24 @@ func TestBatchedExactParity(t *testing.T) {
 		t.Skip("runs every parity workload twice")
 	}
 	for _, s := range paritySpecs {
-		batched, err := runWorkload(Options{Quick: true}, s.collector, s.bench, s.factor, s.jvms)
+		opt := s.opt
+		opt.Quick = true
+		batched, err := runWorkload(opt, s.collector, s.bench, s.factor, s.jvms)
 		if err != nil {
 			t.Fatalf("%+v batched: %v", s, err)
 		}
-		exact, err := runWorkload(Options{Quick: true, Exact: true}, s.collector, s.bench, s.factor, s.jvms)
+		opt.Exact = true
+		exact, err := runWorkload(opt, s.collector, s.bench, s.factor, s.jvms)
 		if err != nil {
 			t.Fatalf("%+v exact: %v", s, err)
 		}
 		b, e := *batched, *exact
 		if b.Perf.ChargeRuns == 0 {
 			t.Errorf("%s/%s: no runs were declared — the parity test is vacuous", s.collector, s.bench)
+		}
+		if s.opt.FaultPlan != "" && (b.Perf.FaultsInjected == 0 || b.Perf.NUMARemote == 0) {
+			t.Errorf("%s/%s: faulted spec injected %d faults over %d remote accesses — vacuous",
+				s.collector, s.bench, b.Perf.FaultsInjected, b.Perf.NUMARemote)
 		}
 		if b.Perf.RunFallbacks != 0 {
 			t.Errorf("%s/%s: batched run fell back %d times (predicate should allow closed form)",
