@@ -13,7 +13,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -21,35 +20,17 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/machine"
-	"repro/internal/sim"
-	"repro/internal/swaptier"
-	"repro/internal/topology"
-	"repro/internal/trace"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "", "experiment ID (fig1..fig16, table1..table3) or 'all'")
-		list     = flag.Bool("list", false, "list experiment IDs and exit")
-		quick    = flag.Bool("quick", false, "reduced sweeps and benchmark subset")
-		mach     = flag.String("machine", "", "cost model override (gold6130, gold6240, i5-7600)")
-		workers  = flag.Int("gcworkers", 4, "GC threads per JVM")
-		seed     = flag.Int64("seed", 42, "workload seed")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "host worker pool for independent workload runs (1 = serial; -trace/-metrics force serial). Output is byte-identical at any setting")
-		traceOut = flag.String("trace", "", "write a combined Chrome trace_event JSON of every workload machine (disables run memoisation and host parallelism)")
-		metrics  = flag.String("metrics", "", "write a combined Prometheus text-format metrics snapshot (disables run memoisation and host parallelism)")
-		sockets  = flag.Int("sockets", 1, "sockets (NUMA nodes) the simulated cores are split over")
-		numaPol  = flag.String("numa-policy", "", "page placement on multi-socket machines: first-touch, interleave, or bind[:N]")
-		faultPln = flag.String("fault-plan", "", "fault-injection plan: comma-separated site=rate (sites: pte-lock, ipi-ack, swapva, poison, interconnect, far-write, all), e.g. 'swapva=0.01,poison=1e-4'")
-		faultRt  = flag.Float64("fault-rate", 0, "uniform fault rate applied to every site (per-site -fault-plan entries override it)")
-		faultSd  = flag.Int64("fault-seed", 0, "fault-injection seed; the same seed and plan replay the identical fault sequence (0 = workload seed)")
-		exact    = flag.Bool("exact", false, "force exact per-word cost charging instead of epoch-batched run settlement (bit-identical output, slower host runtime; exists for parity checking)")
-		swapTier = flag.Int64("swap-tier", 0, "far (NVMe) swap-tier capacity in MiB for the far-memory figures, e.g. oversub1 (0 with -zpool 0 = each figure's built-in tier)")
-		zpool    = flag.Int64("zpool", 0, "compressed-RAM zpool budget in MiB in front of the far tier")
-		farLat   = flag.Int64("far-lat", 0, "far-device access latency in ns (0 = default 10000)")
-		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
-		memProf  = flag.String("memprofile", "", "write a pprof allocation profile (after the run) to this file")
+		exp     = flag.String("exp", "", "experiment ID (fig1..fig16, table1..table3) or 'all'")
+		list    = flag.Bool("list", false, "list experiment IDs and exit")
+		quick   = flag.Bool("quick", false, "reduced sweeps and benchmark subset")
+		exact   = flag.Bool("exact", false, "force exact per-word cost charging instead of epoch-batched run settlement (bit-identical output, slower host runtime; exists for parity checking)")
+		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
+		memProf = flag.String("memprofile", "", "write a pprof allocation profile (after the run) to this file")
+		planes  = bench.RegisterFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -63,42 +44,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gcbench: -exp is required (try -list)")
 		os.Exit(2)
 	}
-
-	policy, bind, err := topology.ParsePolicy(*numaPol)
+	opt, err := planes.Options()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gcbench:", err)
 		os.Exit(2)
 	}
-	opt := bench.Options{Quick: *quick, GCWorkers: *workers, Seed: *seed,
-		Sockets: *sockets, NUMAPolicy: policy, NUMABind: bind,
-		Parallel:  *parallel,
-		FaultPlan: *faultPln, FaultRate: *faultRt, FaultSeed: *faultSd,
-		Swap:  swaptier.Config{FarBytes: *swapTier << 20, ZpoolBytes: *zpool << 20, FarLatNs: sim.Time(*farLat)},
-		Exact: *exact}
-	if _, err := opt.FaultInjector(); err != nil {
-		fmt.Fprintln(os.Stderr, "gcbench:", err)
-		os.Exit(2)
-	}
-	if opt.Swap.Enabled() {
-		if err := opt.Swap.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, "gcbench:", err)
-			os.Exit(2)
-		}
-	}
-	var tracers []*trace.Tracer
-	if *traceOut != "" || *metrics != "" {
-		opt.OnMachine = func(m *machine.Machine) {
-			tracers = append(tracers, m.EnableTracing(0))
-		}
-	}
-	if *mach != "" {
-		cost, err := sim.ModelByName(*mach)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gcbench:", err)
-			os.Exit(2)
-		}
-		opt.Cost = cost
-	}
+	opt.Quick, opt.Exact = *quick, *exact
 
 	var exps []*bench.Experiment
 	if *exp == "all" {
@@ -145,40 +96,24 @@ func main() {
 	runs, simNs := bench.HarnessStats()
 	fmt.Fprintf(os.Stderr,
 		"harness: %d workload runs, %.3fs simulated in %.1fs wall — %.0f sim-ns/host-ms, %.2f runs/s, parallel=%d\n",
-		runs, simNs.Seconds(), wall, float64(simNs)/(wall*1e3), float64(runs)/wall, *parallel)
+		runs, simNs.Seconds(), wall, float64(simNs)/(wall*1e3), float64(runs)/wall, opt.Parallel)
 
-	if *traceOut != "" {
-		if err := writeFile(*traceOut, trace.ChromeTraceOf(tracers...).Write); err != nil {
-			fmt.Fprintln(os.Stderr, "gcbench: trace:", err)
-			os.Exit(1)
-		}
-	}
-	if *metrics != "" {
-		if err := writeFile(*metrics, trace.SnapshotOf(tracers...).WritePrometheus); err != nil {
-			fmt.Fprintln(os.Stderr, "gcbench: metrics:", err)
-			os.Exit(1)
-		}
+	if err := planes.WriteOutputs(); err != nil {
+		fmt.Fprintln(os.Stderr, "gcbench:", err)
+		os.Exit(1)
 	}
 	if *memProf != "" {
 		runtime.GC() // fold transient garbage so the profile shows live + cumulative allocs honestly
-		if err := writeFile(*memProf, func(w io.Writer) error {
-			return pprof.Lookup("allocs").WriteTo(w, 0)
-		}); err != nil {
+		f, err := os.Create(*memProf)
+		if err == nil {
+			err = pprof.Lookup("allocs").WriteTo(f, 0)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "gcbench: memprofile:", err)
 			os.Exit(1)
 		}
 	}
-}
-
-// writeFile streams write into path, closing cleanly on error.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -19,12 +19,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/fault"
+	"repro/internal/bench"
 	"repro/internal/gc"
 	"repro/internal/gc/svagc"
 	"repro/internal/heap"
@@ -34,58 +33,34 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/soak"
-	"repro/internal/swaptier"
-	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 	"repro/internal/workloads/smr"
 )
 
 func main() {
 	var (
-		benchName = flag.String("bench", "", "workload name, or a comma-separated list to fan out (see -list)")
+		benchName = flag.String("bench", "", "workload name, or a comma-separated list to fan out over -parallel host workers (see -list)")
 		collector = flag.String("gc", jvm.CollectorSVAGC, "collector: svagc, svagc-memmove, parallelgc, shenandoah, parallelgc-swapva, shenandoah-swapva, copygc")
 		factor    = flag.Float64("heap", 1.2, "heap size as a factor of the workload's minimum")
-		workers   = flag.Int("gcworkers", 4, "GC threads")
 		jvms      = flag.Int("jvms", 1, "modelled co-running JVM count")
 		threshold = flag.Int("threshold", 0, "SwapVA threshold override in pages (svagc only)")
-		mach      = flag.String("machine", "gold6130", "cost model (gold6130, gold6240, i5-7600)")
-		seed      = flag.Int64("seed", 42, "workload seed")
 		list      = flag.Bool("list", false, "list workloads and exit")
 		pauses    = flag.Bool("pauses", false, "print every pause record")
 		gclog     = flag.Bool("gclog", false, "stream -Xlog:gc style lines to stderr as pauses happen")
 		histo     = flag.Bool("histo", false, "print a class histogram of the final heap (jmap -histo style)")
-		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON file of the run (load in chrome://tracing or Perfetto)")
-		metrics   = flag.String("metrics", "", "write a Prometheus text-format metrics snapshot of the run")
 		spillOut  = flag.String("trace-spill", "", "stream trace events to this file as JSON lines when ring buffers fill (implies tracing; nothing is dropped)")
 		traceBuf  = flag.Int("trace-buf", 0, "trace ring size in events per context (0 = default 8192; with -trace-spill this is the flush batch size)")
-		sockets   = flag.Int("sockets", 1, "sockets (NUMA nodes) the simulated cores are split over")
-		numaPol   = flag.String("numa-policy", "", "page placement on multi-socket machines: first-touch, interleave, or bind[:N]")
 		numaGC    = flag.String("numa-gc", "", "GC worker placement on multi-socket machines: spread or local")
-		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "host worker pool when -bench lists several workloads (1 = serial)")
-		faultPln  = flag.String("fault-plan", "", "fault-injection plan: comma-separated site=rate (sites: pte-lock, ipi-ack, swapva, poison, interconnect, far-write, all), e.g. 'swapva=0.01,poison=1e-4'")
-		faultRt   = flag.Float64("fault-rate", 0, "uniform fault rate applied to every site (per-site -fault-plan entries override it)")
-		faultSd   = flag.Int64("fault-seed", 0, "fault-injection seed; the same seed and plan replay the identical fault sequence (0 = workload seed)")
 		watchdogD = flag.Duration("watchdog", 0, "arm the GC watchdog: abort with diagnostics when a phase exceeds this simulated duration (svagc, svagc-memmove, copygc)")
 		soakDur   = flag.Duration("soak", 0, "run the memory-pressure soak loop for this host duration instead of a workload (uses -gc, -gcworkers, -seed, -watchdog, and the swap-tier knobs)")
-		swapTier  = flag.Int64("swap-tier", 0, "far (NVMe) swap-tier capacity in MiB; arms the far-memory swap plane on the simulated machine (0 with -zpool 0 = disabled, the bit-exact historical simulator)")
-		zpool     = flag.Int64("zpool", 0, "compressed-RAM zpool budget in MiB in front of the far tier")
-		farLat    = flag.Int64("far-lat", 0, "far-device access latency in ns (0 = default 10000)")
-		physMiB   = flag.Int64("phys", 0, "bound the simulated machine's physical RAM in MiB (0 = unbounded; required with the swap-tier knobs in workload mode — the soak loop sizes its own pool)")
+		physMiB   = flag.Int64("phys", 0, "bound the simulated machine's physical RAM in MiB (0 = unbounded; required with the swap-tier knobs outside -soak, which sizes its own pool)")
 		tenants   = flag.Int("tenants", 0, "tenant count: replicas for -smr, concurrent capped tenants for -soak (0 = single-tenant)")
 		tenantCap = flag.Int64("tenant-cap", 0, "per-tenant memory cap in MiB; in workload mode the JVM runs as a capped tenant with its own pressure ladder (0 = uncapped)")
 		gcArb     = flag.Int("gc-arbiter", 0, "arm the machine-wide GC arbiter with this concurrent-collection bound (0 = unarbitrated)")
-		smrHeap   = flag.Int64("smr", 0, "run the raft-style SMR cluster workload with this replica heap size in MiB instead of a -bench workload (uses -gc, -gcworkers, -seed, -tenants, -tenant-cap, -gc-arbiter)")
+		smrHeap   = flag.Int64("smr", 0, "run the raft-style SMR cluster workload with this replica heap size in MiB instead of a -bench workload (uses -gc, -gcworkers, -seed, -tenants, -tenant-cap, -gc-arbiter and the machine flags)")
+		planes    = bench.RegisterFlags(flag.CommandLine)
 	)
 	flag.Parse()
-
-	swapCfg := swaptier.Config{FarBytes: *swapTier << 20, ZpoolBytes: *zpool << 20, FarLatNs: sim.Time(*farLat)}
-	if swapCfg.Enabled() {
-		if err := swapCfg.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, "svagc:", err)
-			os.Exit(2)
-		}
-	}
 
 	if *list {
 		for _, s := range workloads.Registry() {
@@ -94,14 +69,20 @@ func main() {
 		}
 		return
 	}
+	planes.Trace, planes.TraceBuf = *spillOut != "", *traceBuf
+	opt, err := planes.Options()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "svagc:", err)
+		os.Exit(2)
+	}
 	if *soakDur > 0 {
 		res, err := soak.Run(soak.Config{
 			Collector:       *collector,
-			GCWorkers:       *workers,
+			GCWorkers:       opt.GCWorkers,
 			Duration:        *soakDur,
 			Watchdog:        sim.Time(watchdogD.Nanoseconds()),
-			Seed:            *seed,
-			Swap:            swapCfg,
+			Seed:            opt.Seed,
+			Swap:            opt.Swap,
 			Tenants:         *tenants,
 			TenantCapFrames: int(*tenantCap << 20 >> mem.PageShift),
 			Log:             os.Stderr,
@@ -115,10 +96,21 @@ func main() {
 		}
 		return
 	}
+	if opt.Swap.Enabled() && *physMiB == 0 {
+		fmt.Fprintln(os.Stderr, "svagc: the swap tier reclaims against a bounded pool: set -phys (MiB of simulated RAM) with -swap-tier/-zpool")
+		os.Exit(2)
+	}
+	// Every machine has the same shape: -phys MiB of RAM, swap-armed by
+	// the tier knobs.
+	var shape machine.Config
+	shape.PhysBytes, shape.Swap = *physMiB<<20, opt.Swap
 	if *smrHeap > 0 {
-		if err := runSMR(*mach, *collector, *smrHeap<<20, *tenants, *workers,
-			*seed, *tenantCap, *gcArb, *faultPln, *faultRt, *faultSd, *traceOut, *traceBuf); err != nil {
+		if err := runSMR(opt, shape, *collector, *smrHeap<<20, *tenants, *tenantCap, *gcArb); err != nil {
 			fmt.Fprintln(os.Stderr, "svagc: smr:", err)
+			os.Exit(1)
+		}
+		if err := planes.WriteOutputs(); err != nil {
+			fmt.Fprintln(os.Stderr, "svagc:", err)
 			os.Exit(1)
 		}
 		return
@@ -127,38 +119,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "svagc: -bench is required (try -list)")
 		os.Exit(2)
 	}
-	if swapCfg.Enabled() && *physMiB == 0 {
-		fmt.Fprintln(os.Stderr, "svagc: the swap tier reclaims against a bounded pool: set -phys (MiB of simulated RAM) with -swap-tier/-zpool")
-		os.Exit(2)
-	}
 	benches := strings.Split(*benchName, ",")
-	cost, err := sim.ModelByName(*mach)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "svagc:", err)
-		os.Exit(2)
-	}
-	policy, bind, err := topology.ParsePolicy(*numaPol)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "svagc:", err)
-		os.Exit(2)
-	}
 	place, err := gc.ParsePlacement(*numaGC)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "svagc:", err)
 		os.Exit(2)
 	}
-	faultPlan, err := fault.ParsePlanWithRate(*faultPln, *faultRt)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "svagc:", err)
-		os.Exit(2)
-	}
-	faultSeed := *faultSd
-	if faultSeed == 0 {
-		faultSeed = *seed
-	}
-	// Each machine gets its own injector so every run replays the exact
-	// fault sequence its seed dictates, independent of sibling runs.
-	newFault := func() *fault.Injector { return fault.New(faultSeed, faultPlan) }
 
 	// cfgFor builds the JVM configuration for one workload spec, honouring
 	// the SVAGC-only threshold/placement overrides and the watchdog
@@ -167,7 +133,7 @@ func main() {
 	cfgFor := func(spec *workloads.Spec) (jvm.Config, error) {
 		heapBytes := spec.MinHeap(*factor)
 		if (*threshold > 0 || place != gc.PlaceSpread) && *collector == jvm.CollectorSVAGC {
-			sc := svagc.Config{Workers: *workers, ThresholdPages: *threshold,
+			sc := svagc.Config{Workers: opt.GCWorkers, ThresholdPages: *threshold,
 				Placement: place, PhaseDeadline: deadline}
 			return jvm.Config{
 				HeapBytes: heapBytes,
@@ -178,7 +144,7 @@ func main() {
 				},
 			}, nil
 		}
-		cfg, ok := jvm.ConfigForDeadline(*collector, heapBytes, spec.Threads, *workers, deadline)
+		cfg, ok := jvm.ConfigForDeadline(*collector, heapBytes, spec.Threads, opt.GCWorkers, deadline)
 		if !ok {
 			return jvm.Config{}, fmt.Errorf("unknown collector %q (want %v)", *collector, jvm.CollectorNames())
 		}
@@ -189,7 +155,7 @@ func main() {
 	report := func(w io.Writer, spec *workloads.Spec, m *machine.Machine, j *jvm.JVM) {
 		st := j.GC.Stats()
 		fmt.Fprintf(w, "%s under %s on %s (%.1fx min heap = %.1f MiB, %d mutator threads, %d GC workers, %d JVMs)\n",
-			spec.Name, j.GC.Name(), cost.Name, *factor, float64(spec.MinHeap(*factor))/(1<<20), spec.Threads, *workers, *jvms)
+			spec.Name, j.GC.Name(), m.Cost.Name, *factor, float64(spec.MinHeap(*factor))/(1<<20), spec.Threads, opt.GCWorkers, *jvms)
 		fmt.Fprintf(w, "  app time           %v (mutator %v + pauses %v + concurrent GC %v)\n",
 			j.AppTime(), j.MutatorTime(), j.GCPauseTime(), j.GCConcurrentTime())
 		fmt.Fprintf(w, "  collections        %d full, %d minor\n", st.Count(gc.KindFull), st.Count(gc.KindMinor))
@@ -230,7 +196,7 @@ func main() {
 			name string
 			set  bool
 		}{
-			{"-trace", *traceOut != ""}, {"-metrics", *metrics != ""},
+			{"-trace", planes.TracePath != ""}, {"-metrics", planes.MetricsPath != ""},
 			{"-trace-spill", *spillOut != ""}, {"-histo", *histo},
 			{"-gclog", *gclog}, {"-pauses", *pauses},
 			{"-tenant-cap", *tenantCap > 0}, {"-gc-arbiter", *gcArb > 0},
@@ -240,9 +206,7 @@ func main() {
 				os.Exit(2)
 			}
 		}
-		mc := machine.Config{Cost: cost, Sockets: *sockets, NUMAPolicy: policy,
-			NUMABind: bind, PhysBytes: *physMiB << 20, Swap: swapCfg, SingleDriver: true}
-		runMany(benches, *parallel, mc, *jvms, *seed, newFault, cfgFor, report)
+		runMany(benches, opt, shape, *jvms, cfgFor, report)
 		return
 	}
 
@@ -251,26 +215,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "svagc:", err)
 		os.Exit(2)
 	}
-	m, err := machine.New(machine.Config{
-		Cost:         cost,
-		Sockets:      *sockets,
-		NUMAPolicy:   policy,
-		NUMABind:     bind,
-		PhysBytes:    *physMiB << 20,
-		Swap:         swapCfg,
-		SingleDriver: true,
-		Fault:        newFault(),
-	})
+	m, err := opt.NewMachine(shape)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "svagc:", err)
 		os.Exit(1)
 	}
 	if *jvms > 1 {
 		m.SetActiveJVMs(*jvms)
-	}
-	var tr *trace.Tracer
-	if *traceOut != "" || *metrics != "" || *spillOut != "" {
-		tr = m.EnableTracing(*traceBuf)
 	}
 	var spillFile *os.File
 	if *spillOut != "" {
@@ -279,7 +230,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "svagc: trace-spill:", err)
 			os.Exit(1)
 		}
-		tr.SetSpill(spillFile)
+		m.Tracer().SetSpill(spillFile)
 	}
 
 	cfg, err := cfgFor(spec)
@@ -307,7 +258,7 @@ func main() {
 		j.WithGCLog(os.Stderr)
 	}
 	wallStart := time.Now()
-	if err := spec.Run(j, *seed); err != nil {
+	if err := spec.Run(j, opt.Seed); err != nil {
 		fmt.Fprintln(os.Stderr, "svagc:", err)
 		os.Exit(1)
 	}
@@ -335,19 +286,12 @@ func main() {
 		fmt.Println("live-heap class histogram:")
 		fmt.Print(heap.FormatHistogram(stats))
 	}
-	if *traceOut != "" {
-		if err := writeFile(*traceOut, tr.WriteChromeJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "svagc: trace:", err)
-			os.Exit(1)
-		}
-	}
-	if *metrics != "" {
-		if err := writeFile(*metrics, trace.SnapshotOf(tr).WritePrometheus); err != nil {
-			fmt.Fprintln(os.Stderr, "svagc: metrics:", err)
-			os.Exit(1)
-		}
+	if err := planes.WriteOutputs(); err != nil {
+		fmt.Fprintln(os.Stderr, "svagc:", err)
+		os.Exit(1)
 	}
 	if spillFile != nil {
+		tr := m.Tracer()
 		if err := tr.SpillErr(); err != nil {
 			fmt.Fprintln(os.Stderr, "svagc: trace-spill:", err)
 			os.Exit(1)
@@ -363,32 +307,11 @@ func main() {
 // runSMR runs the raft-style SMR cluster workload: -tenants replicas
 // (default 3), each a capped tenant JVM, collections arbitrated when
 // -gc-arbiter is set, leader churn driven by GC pauses.
-func runSMR(mach, collector string, heapBytes int64, replicas, workers int,
-	seed, tenantCapMiB int64, maxConcurrentGC int,
-	faultPln string, faultRt float64, faultSd int64, traceOut string, traceBuf int) error {
-
-	cost, err := sim.ModelByName(mach)
+func runSMR(opt bench.Options, shape machine.Config, collector string, heapBytes int64,
+	replicas int, tenantCapMiB int64, maxConcurrentGC int) error {
+	m, err := opt.NewMachine(shape)
 	if err != nil {
 		return err
-	}
-	faultPlan, err := fault.ParsePlanWithRate(faultPln, faultRt)
-	if err != nil {
-		return err
-	}
-	if faultSd == 0 {
-		faultSd = seed
-	}
-	m, err := machine.New(machine.Config{
-		Cost:         cost,
-		SingleDriver: true,
-		Fault:        fault.New(faultSd, faultPlan),
-	})
-	if err != nil {
-		return err
-	}
-	var tr *trace.Tracer
-	if traceOut != "" {
-		tr = m.EnableTracing(traceBuf)
 	}
 	capFrames := int(tenantCapMiB << 20 >> mem.PageShift)
 	if capFrames <= 0 {
@@ -399,8 +322,8 @@ func runSMR(mach, collector string, heapBytes int64, replicas, workers int,
 		Collector:       collector,
 		Replicas:        replicas,
 		HeapBytes:       heapBytes,
-		GCWorkers:       workers,
-		Seed:            seed,
+		GCWorkers:       opt.GCWorkers,
+		Seed:            opt.Seed,
 		CapFrames:       capFrames,
 		MaxConcurrentGC: maxConcurrentGC,
 	})
@@ -408,7 +331,7 @@ func runSMR(mach, collector string, heapBytes int64, replicas, workers int,
 		return err
 	}
 	fmt.Printf("smr cluster: %d replicas under %s on %s (%.1f MiB heap each, cap %d frames)\n",
-		res.Replicas, collector, cost.Name, float64(heapBytes)/(1<<20), capFrames)
+		res.Replicas, collector, m.Cost.Name, float64(heapBytes)/(1<<20), capFrames)
 	fmt.Printf("  rounds/commits     %d / %d\n", res.Rounds, res.Commits)
 	fmt.Printf("  leader churn       %d failovers, %d evictions, %d entries replayed\n",
 		res.Failovers, res.Evictions, res.ReplayEntries)
@@ -425,11 +348,6 @@ func runSMR(mach, collector string, heapBytes int64, replicas, workers int,
 		fmt.Printf("  tenant %-10s %d/%d pages charged (peak %d), pressure %s\n",
 			u.Name, u.Charged, u.CapFrames, u.Peak, u.Pressure)
 	}
-	if traceOut != "" {
-		if err := writeFile(traceOut, tr.WriteChromeJSON); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -438,8 +356,7 @@ func runSMR(mach, collector string, heapBytes int64, replicas, workers int,
 // reports are buffered and printed in input order no matter which host
 // goroutine finishes first, so the stdout of `-bench A,B -parallel 8` is
 // byte-identical to `-parallel 1`.
-func runMany(benches []string, parallel int, mc machine.Config, jvms int, seed int64,
-	newFault func() *fault.Injector,
+func runMany(benches []string, opt bench.Options, shape machine.Config, jvms int,
 	cfgFor func(*workloads.Spec) (jvm.Config, error),
 	report func(io.Writer, *workloads.Spec, *machine.Machine, *jvm.JVM)) {
 	type out struct {
@@ -452,9 +369,7 @@ func runMany(benches []string, parallel int, mc machine.Config, jvms int, seed i
 		if err != nil {
 			return out{err: err}
 		}
-		mcfg := mc
-		mcfg.Fault = newFault()
-		m, err := machine.New(mcfg)
+		m, err := opt.NewMachine(shape)
 		if err != nil {
 			return out{err: err}
 		}
@@ -469,7 +384,7 @@ func runMany(benches []string, parallel int, mc machine.Config, jvms int, seed i
 		if err != nil {
 			return out{err: err}
 		}
-		if err := spec.Run(j, seed); err != nil {
+		if err := spec.Run(j, opt.Seed); err != nil {
 			return out{err: err}
 		}
 		var b strings.Builder
@@ -477,6 +392,7 @@ func runMany(benches []string, parallel int, mc machine.Config, jvms int, seed i
 		return out{text: b.String(), sim: j.AppTime()}
 	}
 
+	parallel := opt.Parallel
 	if parallel < 1 {
 		parallel = 1
 	}
@@ -532,17 +448,4 @@ func simRate(runs int, simulated sim.Time, wall time.Duration) {
 	fmt.Fprintf(os.Stderr,
 		"svagc: %d run(s), %.3fs simulated in %.2fs wall — %.0f sim-ns/host-ms, %.2f runs/s\n",
 		runs, simulated.Seconds(), w, float64(simulated)/(w*1e3), float64(runs)/w)
-}
-
-// writeFile streams write into path, closing cleanly on error.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -45,15 +45,15 @@ type Options struct {
 	NUMAPolicy topology.Policy
 	NUMABind   int
 	// FaultPlan / FaultRate / FaultSeed configure deterministic fault
-	// injection on every workload machine (see fault.ParsePlanWithRate).
-	// An empty plan with a zero rate disables injection entirely; the
-	// seed defaults to the workload seed so a run is fully described by
-	// its flags.
+	// injection on every machine NewMachine builds (see
+	// fault.ParsePlanWithRate). An empty plan with a zero rate disables
+	// injection entirely; the seed defaults to the workload seed so a run
+	// is fully described by its flags.
 	FaultPlan string
 	FaultRate float64
 	FaultSeed int64
-	// OnMachine, when set, is invoked on every workload machine right
-	// after construction — the hook the CLI uses to enable tracing
+	// OnMachine, when set, is invoked on every machine NewMachine builds,
+	// right after construction — the hook Flags uses to enable tracing
 	// (machine.EnableTracing) and collect the tracers. Runs with the hook
 	// set bypass the memoisation cache, because the hook's side effects
 	// are not part of the cache key and a cache hit would skip them.
@@ -70,8 +70,9 @@ type Options struct {
 	Parallel int
 	// Swap overrides the backing-tier shape of the far-memory figures
 	// (currently oversub1); the zero value keeps each figure's built-in
-	// tier. The paper-reproduction figures ignore it — their machines are
-	// never swap-armed, preserving bit-exact parity with the seed.
+	// tier. It is shape, not plane: NewMachine never reads it, so the
+	// paper-reproduction figures stay unarmed, preserving bit-exact parity
+	// with the seed.
 	Swap swaptier.Config
 	// Exact forces declared access runs down the exact per-word charging
 	// path (machine.Config.ExactCharging). Simulated results are
@@ -116,41 +117,50 @@ func (o Options) parallel() int {
 	return o.Parallel
 }
 
-// FaultInjector builds the run's fault injector from the plan/rate/seed
-// options: nil (injection fully disabled) when the resulting plan is
-// inactive, an error when the plan spec does not parse. Each workload
-// machine gets a fresh injector so runs replay identically regardless of
-// host scheduling or cache warm order.
-func (o Options) FaultInjector() (*fault.Injector, error) {
-	if o.FaultPlan == "" && o.FaultRate == 0 {
-		return nil, nil
-	}
+// NewMachine builds one machine of a run. The figure's shape comes from
+// the caller: shape's PhysBytes, Watermarks and Swap are kept and every
+// other field is ignored. The run-wide planes come from o: cost model,
+// sockets and page placement, a fresh fault injector, exact charging and
+// the single-driver declaration (each machine is driven by exactly one
+// host goroutine, so the shared-LLC locks are elided). The injector is
+// seeded by FaultSeed, or by the workload seed when that is 0, so every
+// machine replays the same fault decisions regardless of host scheduling
+// or cache warm order. OnMachine, when set, sees the machine before it
+// is returned.
+func (o Options) NewMachine(shape machine.Config) (*machine.Machine, error) {
 	plan, err := fault.ParsePlanWithRate(o.FaultPlan, o.FaultRate)
 	if err != nil {
 		return nil, err
 	}
-	seed := o.FaultSeed
-	if seed == 0 {
-		seed = o.seed()
+	faultSeed := o.FaultSeed
+	if faultSeed == 0 {
+		faultSeed = o.seed()
 	}
-	return fault.New(seed, plan), nil
-}
-
-// machineConfig is the machine.Config every workload machine is built
-// from, carrying the run's socket/placement options.
-func (o Options) machineConfig() machine.Config {
-	return machine.Config{
-		Cost:       o.cost(),
-		Sockets:    o.sockets(),
-		NUMAPolicy: o.NUMAPolicy,
-		NUMABind:   o.NUMABind,
-		// Each workload run is driven by exactly one host goroutine (the
-		// prefetch worker or the assembling figure), so the machine's
-		// shared-LLC locks can be elided.
+	m, err := machine.New(machine.Config{
+		Cost:          o.cost(),
+		PhysBytes:     shape.PhysBytes,
+		Sockets:       o.sockets(),
+		NUMAPolicy:    o.NUMAPolicy,
+		NUMABind:      o.NUMABind,
+		Watermarks:    shape.Watermarks,
+		Swap:          shape.Swap,
+		Fault:         fault.New(faultSeed, plan),
 		SingleDriver:  true,
 		ExactCharging: o.Exact,
+	})
+	if err != nil {
+		return nil, err
 	}
+	if o.OnMachine != nil {
+		o.OnMachine(m)
+	}
+	return m, nil
 }
+
+// unbounded is the shape of every machine without a figure-specific pool:
+// unbounded RAM, no watermarks, no swap tier — the flat machine the paper
+// figures were calibrated on.
+var unbounded machine.Config
 
 // Result is a rendered experiment: a titled table plus free-form notes.
 type Result struct {
@@ -380,9 +390,9 @@ func recordMicro(t sim.Time) {
 //     of one run → excluded.
 //   - OnMachine, Parallel: host-side execution policy; OnMachine bypasses
 //     the cache entirely, Parallel only schedules → excluded.
-//   - Swap: only read by the far-memory figures (oversub1), which build
-//     their machines directly and never pass through runWorkload — the
-//     cache never sees a swap-armed run → excluded.
+//   - Swap: only read by the far-memory figures (oversub1), which never
+//     pass through runWorkload — the cache never sees a swap-armed run →
+//     excluded.
 //   - Exact: contractually does NOT change results, but it is serialised
 //     anyway so the batched-vs-exact parity suite really executes both
 //     paths instead of one path and a cache hit.
@@ -477,16 +487,9 @@ func computeWorkload(opt Options, collector, bench string, factor float64, jvms 
 	if err != nil {
 		return nil, err
 	}
-	mcfg := opt.machineConfig()
-	if mcfg.Fault, err = opt.FaultInjector(); err != nil {
-		return nil, err
-	}
-	m, err := machine.New(mcfg)
+	m, err := opt.NewMachine(unbounded)
 	if err != nil {
 		return nil, err
-	}
-	if opt.OnMachine != nil {
-		opt.OnMachine(m)
 	}
 	if jvms > 1 {
 		m.SetActiveJVMs(jvms)

@@ -21,7 +21,10 @@ const (
 	oomHeapBytes  = 4 << 20 // 1024-frame heap, eagerly mapped
 )
 
-var oomWatermarks = mem.Watermarks{Min: 8, Low: 16, High: 32}
+var oomShape = machine.Config{
+	PhysBytes:  oomPhysFrames << mem.PageShift,
+	Watermarks: mem.Watermarks{Min: 8, Low: 16, High: 32},
+}
 
 // oomRun captures one collector's behaviour at one occupancy.
 type oomRun struct {
@@ -36,13 +39,7 @@ type oomRun struct {
 // half-garbage object graph, ballasts the pool to the target occupancy and
 // runs one full collection under the named collector.
 func oomOne(opt Options, collector string, occ float64) (*oomRun, error) {
-	m, err := machine.New(machine.Config{
-		Cost:          opt.cost(),
-		PhysBytes:     oomPhysFrames << mem.PageShift,
-		Watermarks:    oomWatermarks,
-		SingleDriver:  true,
-		ExactCharging: opt.Exact,
-	})
+	m, err := opt.NewMachine(oomShape)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +145,7 @@ func OOM1MemoryPressure(opt Options) (*Result, error) {
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("pool %d frames, watermarks min=%d low=%d high=%d, GC reserve active",
-			oomPhysFrames, oomWatermarks.Min, oomWatermarks.Low, oomWatermarks.High),
+			oomPhysFrames, oomShape.Watermarks.Min, oomShape.Watermarks.Low, oomShape.Watermarks.High),
 		"the 99.8% point sits at the min watermark: mutator allocation fails fast (structured ErrMemoryPressure) while both GCs complete from the reserve",
 	)
 	return res, nil

@@ -70,26 +70,12 @@ func ovPattern(buf []uint64, salt uint64) {
 // must really store), runs one full collection, then re-walks the live
 // set — the mutator-side fault-in bill of having been swapped.
 func oversubOne(opt Options, collector string, ratio float64) (*ovRun, error) {
-	// Unlike the paper figures, this one honours the fault plan and the
-	// OnMachine hook directly (it never passes through runWorkload): the
-	// chaos CI drives the far_write site through it.
-	fi, err := opt.FaultInjector()
+	// The chaos CI drives the far_write site through this figure.
+	var shape machine.Config
+	shape.PhysBytes, shape.Swap = ovPhysBytes, ovSwapConfig(opt)
+	m, err := opt.NewMachine(shape)
 	if err != nil {
 		return nil, err
-	}
-	m, err := machine.New(machine.Config{
-		Cost:          opt.cost(),
-		PhysBytes:     ovPhysBytes,
-		Swap:          ovSwapConfig(opt),
-		Fault:         fi,
-		SingleDriver:  true,
-		ExactCharging: opt.Exact,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if opt.OnMachine != nil {
-		opt.OnMachine(m)
 	}
 	heapBytes := int64(ratio * float64(ovPhysBytes))
 	cfg, ok := jvm.ConfigForDeadline(collector, heapBytes, 1, opt.workers(), 0)

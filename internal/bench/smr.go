@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/jvm"
-	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/workloads/smr"
@@ -22,26 +21,12 @@ const (
 )
 
 // smrOne runs one collector's cluster at one heap size on a fresh
-// machine. Like oversub1, this figure builds its machines directly
-// (never passing through runWorkload), so it honours the fault plan and
-// the OnMachine hook — the chaos CI drives the arbiter_stall and
-// cap_race sites through it.
+// machine. The chaos CI drives the arbiter_stall and cap_race sites
+// through it.
 func smrOne(opt Options, collector string, heapBytes int64) (*smr.Result, error) {
-	fi, err := opt.FaultInjector()
+	m, err := opt.NewMachine(unbounded)
 	if err != nil {
 		return nil, err
-	}
-	m, err := machine.New(machine.Config{
-		Cost:          opt.cost(),
-		Fault:         fi,
-		SingleDriver:  true,
-		ExactCharging: opt.Exact,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if opt.OnMachine != nil {
-		opt.OnMachine(m)
 	}
 	// Each tenant's cap is twice its heap plus slack: room for a copying
 	// collector's to-space, so the cap isolates runaways without
