@@ -8,6 +8,7 @@
 //	gcbench -exp fig12 -quick     # reduced sweep for a fast look
 //	gcbench -list                 # available experiment IDs
 //	gcbench -exp fig10 -machine gold6240
+//	gcbench -exp fig6,fig8,fig9,fig10,ext3   # the SwapVA microbenchmarks
 package main
 
 import (
@@ -97,6 +98,14 @@ func main() {
 	fmt.Fprintf(os.Stderr,
 		"harness: %d workload runs, %.3fs simulated in %.1fs wall — %.0f sim-ns/host-ms, %.2f runs/s, parallel=%d\n",
 		runs, simNs.Seconds(), wall, float64(simNs)/(wall*1e3), float64(runs)/wall, opt.Parallel)
+	// The same rate over the system-call-level microbenchmark episodes,
+	// which bypass the workload runs, so micro and macro throughput
+	// numbers are directly comparable.
+	if runs, simNs := bench.MicroStats(); runs > 0 {
+		fmt.Fprintf(os.Stderr,
+			"harness: %d micro episodes, %.3fs simulated in %.1fs wall — %.0f sim-ns/host-ms, %.2f episodes/s\n",
+			runs, simNs.Seconds(), wall, float64(simNs)/(wall*1e3), float64(runs)/wall)
+	}
 
 	if err := planes.WriteOutputs(); err != nil {
 		fmt.Fprintln(os.Stderr, "gcbench:", err)

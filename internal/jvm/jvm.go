@@ -77,13 +77,13 @@ type JVM struct {
 
 	// pressureArmed gates the low-watermark emergency collection: one per
 	// pressure episode, re-armed when free frames recover above the high
-	// watermark (see Thread.checkPressure). True from birth so the first
+	// watermark (see Thread.ladder). True from birth so the first
 	// episode always triggers.
 	pressureArmed bool
 
-	// tenantArmed is the same hysteresis gate for the tenant-local ladder:
-	// one emergency collection per over-cap episode, re-armed when the
-	// tenant's budget recovers above its high watermark.
+	// tenantArmed is the same gate for the tenant cap's ladder: one
+	// emergency collection per episode, re-armed when the tenant's budget
+	// recovers above its high watermark.
 	tenantArmed bool
 
 	// sweepTime accumulates the post-GC swap sweep (tail discard + drain)

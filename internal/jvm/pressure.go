@@ -50,24 +50,68 @@ func (e *PressureError) Error() string {
 // Unwrap makes errors.Is(err, ErrMemoryPressure) hold.
 func (e *PressureError) Unwrap() error { return ErrMemoryPressure }
 
-// checkPressure is the mutator backpressure hook, run once per Alloc.
-// Below the low watermark the thread stalls and triggers one emergency
-// collection per pressure episode (re-armed only after free frames
-// recover above the high watermark — hysteresis, so a run pinned between
-// low and high does not collect on every allocation). At the min
-// watermark allocation fails fast with the diagnostic report. With
-// watermarks disarmed, PressureLevel is a single atomic load and this is
-// a no-op — the zero-pressure fast path.
+// pressureDomain is a pool the backpressure ladder watches: the machine's
+// frame pool (*mem.PhysMem) or one tenant's cap (*mem.Tenant).
+type pressureDomain interface {
+	PressureLevel() mem.Pressure
+	AboveHigh() bool
+}
+
+// checkPressure is the mutator backpressure hook, run once per Alloc. It
+// runs the ladder for this JVM's tenant cap, if any, then for the machine
+// pool. The cap_race fault site sits on the tenant read: a fired fault
+// models a stale read of the charge counter, so the thread pays a fixed
+// re-check cost and reads again. With watermarks disarmed and no tenant,
+// PressureLevel is a single atomic load and this is a no-op — the
+// zero-pressure fast path.
 func (t *Thread) checkPressure() error {
 	j := t.J
 	if j.tenant != nil {
-		if err := t.checkTenantPressure(); err != nil {
+		level := j.tenant.PressureLevel()
+		if t.Ctx.Fault.Enabled(trace.FaultCapRace) && t.Ctx.Fault.Fire(trace.FaultCapRace) {
+			start := t.Ctx.Clock.Now()
+			t.Ctx.Clock.Advance(capRaceRecheckNs)
+			t.Ctx.Perf.CapRaceRetries++
+			t.Ctx.Perf.FaultsInjected++
+			t.Ctx.Trace.Emit(trace.KindFault, "fault:cap-race", start,
+				capRaceRecheckNs, uint64(trace.FaultCapRace), uint64(level))
+			level = j.tenant.PressureLevel()
+		}
+		if err := t.ladder(j.tenant, level, &j.tenantArmed); err != nil {
 			return err
 		}
 	}
-	switch j.M.Phys.PressureLevel() {
-	case mem.PressureMin:
-		if j.M.SwapEnabled() {
+	return t.ladder(j.M.Phys, j.M.Phys.PressureLevel(), &j.pressureArmed)
+}
+
+// ladder is the stall → emergency GC → fail-fast progression for one
+// pressure domain at the given level. Below the low watermark the thread
+// stalls and triggers one emergency collection per pressure episode:
+// *armed is cleared by the collection and set again only after the domain
+// recovers above its high watermark (hysteresis, so a run pinned between
+// low and high does not collect on every allocation). At the min
+// watermark the allocation fails fast with the diagnostic report and no
+// collection: no collector unmaps heap pages, so a collection cannot lower
+// a tenant's charge, nor the pool's frames in use without a swap tier.
+// Only the machine pool has the swap-reclaim rungs: the kswapd stall at
+// Low and direct reclaim at Min. A tenant's trace events carry the
+// "pressure:tenant-" prefix and its charged pages.
+func (t *Thread) ladder(d pressureDomain, level mem.Pressure, armed *bool) error {
+	if level == mem.PressureNone {
+		if !*armed && d.AboveHigh() {
+			*armed = true
+		}
+		return nil
+	}
+	j := t.J
+	tenant, _ := d.(*mem.Tenant) // nil for the machine pool
+	swap := tenant == nil && j.M.SwapEnabled()
+	prefix := "pressure:"
+	if tenant != nil {
+		prefix = "pressure:tenant-"
+	}
+	if level == mem.PressureMin {
+		if swap {
 			// Last resort before fail-fast: synchronous direct reclaim on
 			// the allocating thread's own clock. Only if the pool is still
 			// at the min watermark afterwards is the allocation refused.
@@ -76,112 +120,41 @@ func (t *Thread) checkPressure() error {
 			t.Ctx.Perf.PressureStalls++
 			t.Ctx.Trace.Emit(trace.KindPressure, "pressure:direct-reclaim", start,
 				t.Ctx.Clock.Since(start), uint64(mem.PressureMin), uint64(freed))
-			if j.M.Phys.PressureLevel() != mem.PressureMin {
+			if d.PressureLevel() != mem.PressureMin {
 				return nil
 			}
 		}
 		report := j.M.MemReport()
-		start := t.Ctx.Clock.Now()
-		t.Ctx.Trace.Emit(trace.KindPressure, "pressure:fail-fast", start, 0,
-			uint64(mem.PressureMin), uint64(report.Usage.InUse))
+		arg := uint64(report.Usage.InUse)
+		if tenant != nil {
+			arg = uint64(tenant.Usage().Charged)
+		}
+		t.Ctx.Trace.Emit(trace.KindPressure, prefix+"fail-fast", t.Ctx.Clock.Now(), 0,
+			uint64(mem.PressureMin), arg)
 		return &PressureError{
 			Level:         mem.PressureMin,
+			Tenant:        tenant.Name(),
 			HeapOccupancy: j.Heap.Occupancy(),
 			Report:        report,
 		}
-	case mem.PressureLow:
-		if j.M.SwapEnabled() && j.reclaimStall(t) {
-			return nil
-		}
-		if !j.pressureArmed {
-			return nil
-		}
-		j.pressureArmed = false
-		start := t.Ctx.Clock.Now()
-		t.Ctx.Clock.Advance(pressureStallNs)
-		t.Ctx.Perf.PressureStalls++
-		t.Ctx.Perf.EmergencyGCs++
-		t.Ctx.Trace.Emit(trace.KindPressure, "pressure:emergency-gc", start,
-			pressureStallNs, uint64(mem.PressureLow), uint64(j.M.Phys.FreeFrames()))
-		if _, err := j.runGC(gc.CauseMemoryPressure); err != nil {
-			return err
-		}
-	default:
-		// Re-arm the emergency trigger only after recovery above High.
-		if !j.pressureArmed && j.M.Phys.FreeFrames() > j.M.Phys.Watermarks().High {
-			j.pressureArmed = true
-		}
 	}
-	return nil
-}
-
-// checkTenantPressure is the tenant-local ladder, the cgroup analogue of
-// checkPressure: the same stall → emergency GC → fail-fast progression,
-// but driven by this tenant's cap watermarks and throttling only this
-// JVM's threads — a neighbouring tenant's episode never reaches here. The
-// cap_race fault site sits on the pressure read: a fired fault models a
-// stale read of the charge counter, so the thread pays a fixed re-check
-// cost and reads again.
-func (t *Thread) checkTenantPressure() error {
-	j := t.J
-	level := j.tenant.PressureLevel()
-	if t.Ctx.Fault.Enabled(trace.FaultCapRace) && t.Ctx.Fault.Fire(trace.FaultCapRace) {
-		start := t.Ctx.Clock.Now()
-		t.Ctx.Clock.Advance(capRaceRecheckNs)
-		t.Ctx.Perf.CapRaceRetries++
-		t.Ctx.Perf.FaultsInjected++
-		t.Ctx.Trace.Emit(trace.KindFault, "fault:cap-race", start,
-			capRaceRecheckNs, uint64(trace.FaultCapRace), uint64(level))
-		level = j.tenant.PressureLevel()
+	if swap && j.reclaimStall(t) {
+		return nil
 	}
-	switch level {
-	case mem.PressureMin:
-		// One last emergency collection if the episode's trigger is still
-		// armed; otherwise refuse the allocation for this tenant only.
-		if j.tenantArmed {
-			j.tenantArmed = false
-			if err := t.tenantEmergencyGC(mem.PressureMin); err != nil {
-				return err
-			}
-			if j.tenant.PressureLevel() != mem.PressureMin {
-				return nil
-			}
-		}
-		report := j.M.MemReport()
-		t.Ctx.Trace.Emit(trace.KindPressure, "pressure:tenant-fail-fast",
-			t.Ctx.Clock.Now(), 0, uint64(mem.PressureMin),
-			uint64(j.tenant.Usage().Charged))
-		return &PressureError{
-			Level:         mem.PressureMin,
-			Tenant:        j.tenant.Name(),
-			HeapOccupancy: j.Heap.Occupancy(),
-			Report:        report,
-		}
-	case mem.PressureLow:
-		if !j.tenantArmed {
-			return nil
-		}
-		j.tenantArmed = false
-		return t.tenantEmergencyGC(mem.PressureLow)
-	default:
-		// Hysteresis: re-arm only after the budget recovers above High.
-		if !j.tenantArmed && j.tenant.AboveHigh() {
-			j.tenantArmed = true
-		}
+	if !*armed {
+		return nil
 	}
-	return nil
-}
-
-// tenantEmergencyGC stalls the allocating thread and runs one collection
-// on behalf of the tenant's pressure episode.
-func (t *Thread) tenantEmergencyGC(level mem.Pressure) error {
-	j := t.J
+	*armed = false
 	start := t.Ctx.Clock.Now()
 	t.Ctx.Clock.Advance(pressureStallNs)
 	t.Ctx.Perf.PressureStalls++
 	t.Ctx.Perf.EmergencyGCs++
-	t.Ctx.Trace.Emit(trace.KindPressure, "pressure:tenant-emergency-gc", start,
-		pressureStallNs, uint64(level), uint64(j.tenant.Usage().Charged))
+	arg := uint64(j.M.Phys.FreeFrames())
+	if tenant != nil {
+		arg = uint64(tenant.Usage().Charged)
+	}
+	t.Ctx.Trace.Emit(trace.KindPressure, prefix+"emergency-gc", start,
+		pressureStallNs, uint64(mem.PressureLow), arg)
 	_, err := j.runGC(gc.CauseMemoryPressure)
 	return err
 }

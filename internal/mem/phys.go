@@ -97,6 +97,22 @@ const (
 	PressureMin
 )
 
+// level classifies avail mutator-available frames against the thresholds
+// — the one avail→level map behind every PressureLevel and Usage snapshot.
+// Disabled watermarks report PressureNone.
+func (w Watermarks) level(avail int) Pressure {
+	switch {
+	case !w.Enabled():
+		return PressureNone
+	case avail <= w.Min:
+		return PressureMin
+	case avail <= w.Low:
+		return PressureLow
+	default:
+		return PressureNone
+	}
+}
+
 // String implements fmt.Stringer.
 func (p Pressure) String() string {
 	switch p {
@@ -241,15 +257,16 @@ func (pm *PhysMem) PressureLevel() Pressure {
 	}
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	avail := pm.availLocked()
-	switch {
-	case avail <= pm.wm.Min:
-		return PressureMin
-	case avail <= pm.wm.Low:
-		return PressureLow
-	default:
-		return PressureNone
-	}
+	return pm.wm.level(pm.availLocked())
+}
+
+// AboveHigh reports whether available frames have recovered above the
+// high watermark — the hysteresis re-arm point for the emergency-GC
+// trigger — under one lock acquisition.
+func (pm *PhysMem) AboveHigh() bool {
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	return pm.availLocked() > pm.wm.High
 }
 
 // Reserve sets n frames aside for the caller. Reserved frames are
@@ -494,22 +511,16 @@ type Usage struct {
 func (pm *PhysMem) Usage() Usage {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
+	avail := pm.availLocked()
 	u := Usage{
 		Limit:      pm.limit,
 		Grown:      len(*pm.table.Load()) - 1,
 		InUse:      pm.inUse,
 		Reserved:   pm.reserved,
-		Available:  pm.availLocked(),
+		Available:  avail,
 		Watermarks: pm.wm,
+		Pressure:   pm.wm.level(avail),
 		Nodes:      make([]NodeUsage, pm.nodes),
-	}
-	if pm.wm.Enabled() {
-		switch {
-		case u.Available <= pm.wm.Min:
-			u.Pressure = PressureMin
-		case u.Available <= pm.wm.Low:
-			u.Pressure = PressureLow
-		}
 	}
 	for n := range u.Nodes {
 		u.Nodes[n] = NodeUsage{Node: n, Free: len(pm.free[n])}

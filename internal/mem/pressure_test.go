@@ -99,6 +99,55 @@ func TestPressureLevelsAndHysteresisCounts(t *testing.T) {
 	}
 }
 
+// TestPoolAndTenantClassifyAlike: the machine pool and a tenant cap with
+// the same thresholds report the same level, snapshot level and
+// re-arm test at every available-frame count — both pressure domains
+// share one classification.
+func TestPoolAndTenantClassifyAlike(t *testing.T) {
+	const limit = 32
+	wm := Watermarks{Min: 4, Low: 8, High: 12}
+	pm := NewPhysMem(limit * PageSize)
+	if err := pm.SetWatermarks(wm); err != nil {
+		t.Fatal(err)
+	}
+	tn := &Tenant{name: "t", cap: limit, wm: wm}
+	for avail := limit; avail >= 0; avail-- {
+		want := PressureNone
+		switch {
+		case avail <= wm.Min:
+			want = PressureMin
+		case avail <= wm.Low:
+			want = PressureLow
+		}
+		// Reserved frames count against availability like live ones, and
+		// a reservation may dig below Min, so it reaches every count.
+		pm.ReleaseReserve(pm.Reserved())
+		if err := pm.Reserve(limit - avail); err != nil {
+			t.Fatal(err)
+		}
+		if err := tn.ChargePages(limit - avail - tn.Usage().Charged); err != nil {
+			t.Fatal(err)
+		}
+		for name, d := range map[string]interface {
+			PressureLevel() Pressure
+			AboveHigh() bool
+		}{"pool": pm, "tenant": tn} {
+			if got := d.PressureLevel(); got != want {
+				t.Errorf("%s at %d available: PressureLevel %s, want %s", name, avail, got, want)
+			}
+			if got := d.AboveHigh(); got != (avail > wm.High) {
+				t.Errorf("%s at %d available: AboveHigh %v", name, avail, got)
+			}
+		}
+		if got := pm.Usage().Pressure; got != want {
+			t.Errorf("pool Usage at %d available: Pressure %s, want %s", avail, got, want)
+		}
+		if got := tn.Usage().Pressure; got != want {
+			t.Errorf("tenant Usage at %d available: Pressure %s, want %s", avail, got, want)
+		}
+	}
+}
+
 func TestReservationsTightenTheGate(t *testing.T) {
 	const limit = 32
 	pm := NewPhysMem(limit * PageSize)

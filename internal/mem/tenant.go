@@ -131,16 +131,8 @@ func (t *Tenant) PressureLevel() Pressure {
 		return PressureNone
 	}
 	t.mu.Lock()
-	avail := t.cap - t.used
-	t.mu.Unlock()
-	switch {
-	case avail <= t.wm.Min:
-		return PressureMin
-	case avail <= t.wm.Low:
-		return PressureLow
-	default:
-		return PressureNone
-	}
+	defer t.mu.Unlock()
+	return t.wm.level(t.cap - t.used)
 }
 
 // AboveHigh reports whether the tenant's free budget has recovered above
@@ -169,14 +161,7 @@ func (t *Tenant) Usage() TenantUsage {
 		return TenantUsage{}
 	}
 	t.mu.Lock()
-	u := TenantUsage{Name: t.name, CapFrames: t.cap, Charged: t.used, Peak: t.peak}
-	avail := t.cap - t.used
-	t.mu.Unlock()
-	switch {
-	case avail <= t.wm.Min:
-		u.Pressure = PressureMin
-	case avail <= t.wm.Low:
-		u.Pressure = PressureLow
-	}
-	return u
+	defer t.mu.Unlock()
+	return TenantUsage{Name: t.name, CapFrames: t.cap, Charged: t.used, Peak: t.peak,
+		Pressure: t.wm.level(t.cap - t.used)}
 }

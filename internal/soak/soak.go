@@ -76,8 +76,9 @@ type Config struct {
 	// Tenants, when > 1, selects the multi-tenant soak instead: that many
 	// capped tenant JVMs churn concurrently (one host goroutine each, so
 	// the machine runs its concurrent paths), with per-tenant charge
-	// baselines and cap-isolation probes checked every cycle. FailFasts
-	// then counts refused over-cap mappings.
+	// baselines, cap-isolation probes and a tenant pressure episode
+	// checked every cycle. FailFasts then counts refused over-cap
+	// mappings, and TenantEpisodes the tenant pressure episodes.
 	Tenants int
 	// TenantCapFrames overrides the per-tenant cap in the multi-tenant
 	// soak (default: twice the heap plus slack).
@@ -96,8 +97,11 @@ type Result struct {
 	FailFasts   uint64 // min-watermark structured allocation refusals
 	SwapOuts    uint64 // pages the tier absorbed (swap mode)
 	SwapIns     uint64 // pages faulted back from the tier (swap mode)
-	Baseline    int    // frames-in-use invariant baseline
-	SimTime     sim.Time
+	// TenantEpisodes counts tenant pressure episodes (multi-tenant mode):
+	// each one emergency GC at the low watermark, then a fail-fast at min.
+	TenantEpisodes uint64
+	Baseline       int // frames-in-use invariant baseline
+	SimTime        sim.Time
 }
 
 func (r *Result) String() string {
@@ -105,6 +109,9 @@ func (r *Result) String() string {
 		r.Cycles, r.Collections, r.Degraded, r.Stalls, r.Emergency, r.FailFasts, r.Baseline, r.SimTime)
 	if r.SwapOuts > 0 || r.SwapIns > 0 {
 		s += fmt.Sprintf(", %d swap-outs / %d swap-ins", r.SwapOuts, r.SwapIns)
+	}
+	if r.TenantEpisodes > 0 {
+		s += fmt.Sprintf(", %d tenant pressure episodes", r.TenantEpisodes)
 	}
 	return s
 }

@@ -109,6 +109,13 @@ func TestSoakMultiTenant(t *testing.T) {
 	if res.Collections < 3*res.Cycles {
 		t.Errorf("collections %d < %d; every tenant collects every cycle", res.Collections, 3*res.Cycles)
 	}
+	if res.TenantEpisodes < uint64(res.Cycles-1) {
+		t.Errorf("tenant pressure episodes %d < checked cycles %d", res.TenantEpisodes, res.Cycles-1)
+	}
+	if res.Emergency < res.TenantEpisodes || res.Stalls < res.TenantEpisodes {
+		t.Errorf("%d emergency GCs and %d stalls for %d tenant pressure episodes; want one of each per episode",
+			res.Emergency, res.Stalls, res.TenantEpisodes)
+	}
 }
 
 // TestSoakMultiTenantCopyGC runs the same soak under the copying

@@ -13,6 +13,7 @@ import (
 	"repro/internal/jvm"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/mmu"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -23,8 +24,10 @@ import (
 // the invariants are per-tenant: every cycle each tenant's charged
 // pages return to its post-warm-up baseline, an over-cap mapping is
 // refused with the structured cap error while the neighbours keep
-// allocating, and the machine-wide frame/reservation/goroutine
-// accounting stays flat.
+// allocating, tenant 0 runs its own pressure episode (one emergency
+// collection at its low watermark, a fail-fast at its min watermark),
+// and the machine-wide frame/reservation/goroutine accounting stays
+// flat.
 
 // tenantCapSlack is the headroom a tenant cap gets over the worst-case
 // transient (heap plus a copying collector's to-space).
@@ -59,6 +62,56 @@ func (r *tenantRig) churn(n int) error {
 	}
 	if _, err := r.j.CollectNow(); err != nil {
 		return fmt.Errorf("cycle %d: %s collection: %w", n, r.j.Name(), err)
+	}
+	return nil
+}
+
+// pressureEpisode drives the tenant's own pressure ladder with ballast
+// mapped into as, an address space charged to the tenant: down to its
+// low watermark the next allocation must stall and run exactly one
+// emergency collection; down to its min watermark the next one must fail
+// fast, naming the tenant, without a collection. The ballast is unmapped
+// again before returning, so the charge goes back to where it was.
+func (r *tenantRig) pressureEpisode(n int, as *mmu.AddressSpace) error {
+	wm := r.tenant.Watermarks()
+	toward := func(target int) (uint64, int, error) {
+		pages := r.tenant.CapFrames() - r.tenant.Usage().Charged - target
+		va, err := as.MapRegion(pages)
+		if err != nil {
+			return 0, 0, fmt.Errorf("cycle %d: %s ballast of %d pages: %w", n, r.tenant.Name(), pages, err)
+		}
+		return va, pages, nil
+	}
+	lowVA, lowPages, err := toward(wm.Low)
+	if err != nil {
+		return err
+	}
+	defer as.Unmap(lowVA, lowPages, true)
+	gcs := r.j.GCCount("")
+	emergency := r.th.Ctx.Perf.EmergencyGCs
+	if _, err := r.th.Alloc(heap.AllocSpec{Payload: 256}); err != nil {
+		return fmt.Errorf("cycle %d: %s allocation at its low watermark failed (want stall): %w",
+			n, r.tenant.Name(), err)
+	}
+	if d := r.th.Ctx.Perf.EmergencyGCs - emergency; d != 1 || r.j.GCCount("") != gcs+1 {
+		return fmt.Errorf("cycle %d: %s low-watermark episode ran %d emergency GCs, %d collections; want 1 and 1",
+			n, r.tenant.Name(), d, r.j.GCCount("")-gcs)
+	}
+
+	minVA, minPages, err := toward(wm.Min)
+	if err != nil {
+		return err
+	}
+	defer as.Unmap(minVA, minPages, true)
+	gcs = r.j.GCCount("")
+	_, allocErr := r.th.Alloc(heap.AllocSpec{Payload: 256})
+	var pe *jvm.PressureError
+	if !errors.As(allocErr, &pe) || pe.Tenant != r.tenant.Name() {
+		return fmt.Errorf("cycle %d: %s allocation at its min watermark returned %v, want its tenant *jvm.PressureError",
+			n, r.tenant.Name(), allocErr)
+	}
+	if r.j.GCCount("") != gcs {
+		return fmt.Errorf("cycle %d: %s min-watermark fail-fast collected first", n, r.tenant.Name())
 	}
 	return nil
 }
@@ -173,8 +226,14 @@ func runTenants(cfg Config) (*Result, error) {
 			}
 		}
 
-		// Per-tenant accounting: the refused mapping and the cycle's churn
-		// left every tenant's charge exactly at its baseline.
+		if err := rigs[0].pressureEpisode(n, greedy); err != nil {
+			return res, err
+		}
+		res.TenantEpisodes++
+
+		// Per-tenant accounting: the refused mapping, the pressure episode
+		// and the cycle's churn left every tenant's charge exactly at its
+		// baseline.
 		for _, r := range rigs {
 			if got := r.tenant.Usage().Charged; got != r.base {
 				return res, fmt.Errorf("cycle %d: tenant %s charge leak: %d pages charged, baseline %d\n%s",
